@@ -26,8 +26,15 @@ from .capacity import (
     unlearning_capacity,
     write_capacity_csv,
 )
-from .core import ConfigError, RunConfig, config_from_file
-from .evaluation import make_task, rows_to_csv, run_point
+from .core import ConfigError, RunConfig, _field_types, _parse_value, config_from_file
+from .evaluation import (
+    ExperimentSpec,
+    _sort_rows,
+    _sweep_points,
+    make_task,
+    rows_to_csv,
+    run_unlearning_experiment,
+)
 from .objectives import SyntheticTask, dataset_from_lines, dataset_to_lines
 from .protocols import (
     run_certifier,
@@ -214,14 +221,30 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep_values(field: str, text: str):
-    int_fields = {"n_clients", "dim", "train_hops", "unlearn_hops", "s", "forget_size",
-                  "local_size", "batch_size", "group_edit", "unlearn_client", "test_size"}
-    vals = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        vals.append(int(chunk) if field in int_fields else float(chunk))
-    return tuple(vals)
+def _parse_sweep(items) -> dict:
+    """``field=v1,v2`` specs to {field: values}, typed like config files.
+
+    Only numeric fields can be swept (fail-closed); seeds come from --seeds.
+    """
+    types = _field_types()
+    sweep = {}
+    for item in items:
+        if "=" not in item:
+            raise ConfigError([f"bad sweep spec {item!r}, expected key=v1,v2"])
+        key, _, text = item.partition("=")
+        key = key.strip()
+        if key not in types:
+            raise ConfigError([f"unknown key '{key}'"])
+        if key == "seed":
+            raise ConfigError(["seed cannot be swept; list seeds with --seeds"])
+        typ = float if key == "sigma" else types[key]
+        if typ not in (int, float):
+            raise ConfigError([f"{key} is not numeric and cannot be swept"])
+        try:
+            sweep[key] = tuple(_parse_value(key, v.strip(), typ) for v in text.split(","))
+        except ValueError:
+            raise ConfigError([f"{key}: cannot parse sweep values {text!r}"]) from None
+    return sweep
 
 
 def _point_filename(keys, point) -> str:
@@ -233,72 +256,41 @@ def _point_filename(keys, point) -> str:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    sweep = {}
-    for item in args.sweep or []:
-        if "=" not in item:
-            raise ConfigError([f"bad sweep spec {item!r}, expected key=v1,v2"])
-        key, _, text = item.partition("=")
-        sweep[key.strip()] = _parse_sweep_values(key.strip(), text)
+    sweep = _parse_sweep(args.sweep)
     seeds = tuple(int(s) for s in args.seeds.split(","))
     keys = sorted(sweep)
+    points = list(_sweep_points(ExperimentSpec(cfg, sweep, seeds)))
     # one result file per sweep point; existing files are trusted and skipped
-    points = []
-
-    def expand(i, acc):
-        if i == len(keys):
-            points.append(dict(acc))
-            return
-        for v in sweep[keys[i]]:
-            acc[keys[i]] = v
-            expand(i + 1, acc)
-
-    expand(0, {})
     all_rows = []
     for point in points:
         fname = os.path.join(args.out, _point_filename(keys, point))
-        if os.path.exists(fname):
-            with open(fname, "r", encoding="utf-8") as fh:
-                rows = _read_point_csv(fh, keys)
-        else:
-            rows = []
-            for seed in seeds:
-                run_cfg = cfg.replace(seed=seed, **point)
-                for row in run_point(run_cfg):
-                    rows.append({**{k: point[k] for k in keys}, "seed": seed, **row})
+        if not os.path.exists(fname):
+            # one experiment per seed keeps the file's rows in --seeds order
+            single = {k: (point[k],) for k in keys}
+            rows = [row for seed in seeds
+                    for row in run_unlearning_experiment(ExperimentSpec(cfg, single, (seed,)))]
             rows_to_csv(rows, keys, fname)
-            with open(fname, "r", encoding="utf-8") as fh:
-                rows = _read_point_csv(fh, keys)
-        all_rows.extend(rows)
-    phase_order = {"pre": 0, "post": 1, "certifier": 2}
-    all_rows.sort(
-        key=lambda r: tuple(r[k] for k in keys) + (r["seed"], phase_order[r["phase"]])
-    )
-    rows_to_csv(all_rows, keys, os.path.join(args.out, "sweep.csv"))
+        with open(fname, "r", encoding="utf-8") as fh:
+            all_rows.extend(_read_point_csv(fh))
+    rows_to_csv(_sort_rows(all_rows, keys), keys, os.path.join(args.out, "sweep.csv"))
     print(f"sweep complete: {len(points)} points, {len(all_rows)} rows")
     return EXIT_OK
 
 
-def _read_point_csv(fh, keys):
+def _read_point_csv(fh):
     import csv as _csv
 
-    int_fields = {"n_clients", "dim", "train_hops", "unlearn_hops", "s", "forget_size",
-                  "local_size", "batch_size", "group_edit", "unlearn_client", "test_size",
-                  "seed"}
+    types = _field_types()
     rows = []
-    reader = _csv.DictReader(fh)
-    for raw in reader:
+    for raw in _csv.DictReader(fh):
         row = {}
         for k, v in raw.items():
             if v == "":
                 row[k] = None
-            elif k in int_fields:
-                row[k] = int(v)
             elif k == "phase":
                 row[k] = v
-            elif k in keys:
-                row[k] = float(v)
             else:
-                row[k] = float(v)
+                row[k] = _parse_value(k, v, types.get(k, float))
         rows.append(row)
     return rows
 
@@ -370,13 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp-constant", type=float, default=1.0)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("sweep", help="experiment sweep with resumable points")
+    # no abbreviations: "--seed" would silently stand for "--seeds"
+    p = sub.add_parser("sweep", help="experiment sweep with resumable points",
+                       allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sweep", action="append", default=[],
                    help="field=v1,v2,... (repeatable)")
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -51,37 +51,28 @@ def params_hash(params: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected communication graph over clients 1..num_clients."""
+    """Complete communication graph over clients 1..num_clients.
+
+    Every pair of distinct clients is an edge, so the graph is its client
+    count; edges and degrees are derived on request, never stored.
+    """
 
     num_clients: int
-    edges: frozenset
 
     @staticmethod
     def complete(num_clients: int) -> "Graph":
         if num_clients < 2:
             raise ValueError("complete graph needs at least 2 clients")
-        edges = frozenset(
-            (i, j)
-            for i in range(1, num_clients + 1)
-            for j in range(i + 1, num_clients + 1)
-        )
-        return Graph(num_clients=num_clients, edges=edges)
+        return Graph(num_clients=num_clients)
 
-    def is_complete(self) -> bool:
+    @property
+    def edges(self) -> frozenset:
+        """All pairs (i, j) with i < j; O(N^2), built on each request."""
         n = self.num_clients
-        return len(self.edges) == n * (n - 1) // 2
-
-    def neighbors(self, client: int) -> tuple:
-        out = []
-        for a, b in self.edges:
-            if a == client:
-                out.append(b)
-            elif b == client:
-                out.append(a)
-        return tuple(sorted(out))
+        return frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
     def degree(self, client: int) -> int:
-        return len(self.neighbors(client))
+        return self.num_clients - 1
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:

@@ -291,9 +291,17 @@ def run_unlearning_experiment(spec: ExperimentSpec) -> list:
             cfg = spec.base.replace(seed=seed, **point)
             for row in run_point(cfg):
                 rows.append({**{k: point[k] for k in keys}, "seed": seed, **row})
-    phase_order = {"pre": 0, "post": 1, "certifier": 2}
-    rows.sort(key=lambda r: tuple(r[k] for k in keys) + (r["seed"], phase_order[r["phase"]]))
-    return rows
+    return _sort_rows(rows, keys)
+
+
+_PHASE_ORDER = {"pre": 0, "post": 1, "certifier": 2}
+
+
+def _sort_rows(rows, keys) -> list:
+    """Rows ordered by sweep keys, seed, then phase (pre, post, certifier)."""
+    return sorted(
+        rows, key=lambda r: tuple(r[k] for k in keys) + (r["seed"], _PHASE_ORDER[r["phase"]])
+    )
 
 
 def _fmt(value) -> str:

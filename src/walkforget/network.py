@@ -1,11 +1,11 @@
 """Token routing, message transcripts, and per-observer views.
 
 The observation model: a client sees exactly the messages it sent or
-received, nothing else. Routing comes in two flavors, a uniform walk on
-graph edges (training) and an i.i.d. restart rule that targets one client
-with probability p (unlearning). On a complete graph the i.i.d. rule can
-reselect the current holder, so those transcripts may contain self-hops;
-edge walks never do.
+received, nothing else. Routing comes in two flavors, a uniform walk to
+one of the other clients (training) and an i.i.d. restart rule that
+targets one client with probability p (unlearning). The graph is complete,
+so the i.i.d. rule can reselect the current holder and those transcripts
+may contain self-hops; the uniform walk never does.
 """
 
 from __future__ import annotations
@@ -100,14 +100,11 @@ class View:
 def route_uniform(current: int, graph: Graph, rng: np.random.Generator) -> int:
     """Next holder of the token: uniform over the other clients.
 
-    Requires a complete graph with at least 2 clients; the draw is O(1)
-    instead of materializing neighbor lists.
+    The graph is complete, so the draw is O(1) with no neighbor list.
     """
     n = graph.num_clients
     if n < 2:
         raise ValueError("need at least 2 clients")
-    if not graph.is_complete():
-        raise ValueError("route_uniform requires a complete graph")
     k = int(rng.integers(1, n))  # offset in 1..n-1
     nxt = current + k
     if nxt > n:

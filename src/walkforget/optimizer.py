@@ -8,6 +8,7 @@ intersected with a trust ball).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +36,26 @@ def _project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarra
     return center + diff * (radius / norm)
 
 
-def _project_two_balls(x, c1, r1, c2, r2, tol=1e-14, max_iter=500):
-    # Dykstra's alternating projections; exact for intersections of convex
-    # sets, and the two-ball case converges in a handful of iterations.
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    z = x.astype(np.float64, copy=True)
-    for _ in range(max_iter):
-        y = _project_ball(z + p, c1, r1)
-        p = z + p - y
-        z_new = _project_ball(y + q, c2, r2)
-        q = y + q - z_new
-        if np.linalg.norm(z_new - z) <= tol and np.linalg.norm(z_new - y) <= tol:
-            return z_new
-        z = z_new
-    return z
+def _project_two_balls(x, c1, r1, c2, r2):
+    # Called when neither single-ball projection is feasible, so both
+    # constraints are active at the optimum: it lies on the (d-2)-sphere
+    # where the two boundary spheres meet (centre mid on the axis c1->c2,
+    # radius rho), and is that sphere's nearest point to x. O(d), exact.
+    axis = c2 - c1
+    dist = float(np.linalg.norm(axis))
+    u = axis / dist
+    a = 0.5 * (dist + (r1 - r2) * (r1 + r2) / dist)  # signed c1-to-mid distance
+    rho_sq = (r1 - a) * (r1 + a)
+    if rho_sq < -1e-12 * max(r1, r2) ** 2:
+        raise ValueError("the feasible region is empty: the balls do not intersect")
+    mid = c1 + a * u
+    w = x - mid
+    w = w - float(w @ u) * u
+    norm_w = float(np.linalg.norm(w))
+    # x on the axis happens only when the spheres touch in a single point
+    if norm_w == 0.0:
+        return mid
+    return mid + math.sqrt(max(rho_sq, 0.0)) * (w / norm_w)
 
 
 def project(theta: np.ndarray, region: FeasibleRegion) -> np.ndarray:
@@ -63,8 +69,8 @@ def project(theta: np.ndarray, region: FeasibleRegion) -> np.ndarray:
         return _project_ball(x, region.center, region.radius).copy()
     if has_trust and not has_ball:
         return _project_ball(x, region.trust_center, region.trust_radius).copy()
-    # Intersection. If one ball already contains the other's projection the
-    # composition is exact; otherwise fall back to Dykstra.
+    # Intersection. If one ball's projection lies in the other ball it is
+    # the answer; otherwise both constraints are active.
     cand = _project_ball(x, region.trust_center, region.trust_radius)
     if np.linalg.norm(cand - region.center) <= region.radius:
         return cand.copy()

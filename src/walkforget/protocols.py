@@ -1,14 +1,16 @@
 """End-to-end protocol runners producing (model, transcript, privacy record).
 
-Three walks share one loop shape: pick the next holder, update there,
-log the hop. They differ in routing law, noise placement, and projection:
+All three protocols are one walk, ``_walk``: pick the next holder, update
+the model there, log the hop. A runner supplies only the routing law and
+the step rule:
 
-* token training: uniform edge walk, noiseless, optional domain projection;
-* private baseline: i.i.d. uniform holder, Gaussian noise every hop,
-  always projected onto the domain;
+* token training: uniform edge walk, noiseless descent, optional domain
+  projection;
+* private baseline: i.i.d. uniform holder, projected descent with Gaussian
+  noise on every hop;
 * unlearning walk: restart routing toward the unlearning client, noisy
   corrective ascent there (projected onto domain intersect trust ball),
-  noiseless averaged descent elsewhere.
+  the same projected descent as the baseline, noiseless, elsewhere.
 
 The certifier composes training on the retained data with an empty-forget
 unlearning pass, which is the reference process unlearning is compared to.
@@ -131,6 +133,55 @@ def _trace_row(objective, datasets, cfg, t, client, theta, at_target):
     return (t, client, retained, forget, float(np.linalg.norm(theta)), at_target)
 
 
+def _client_gradient(objective, datasets, cfg, client, theta, s, batching):
+    data = datasets[client - 1]
+    if data.n_u == 0:
+        raise ValueError(f"client {client} has an empty dataset")
+    return averaged_gradient(objective, data, theta, s, cfg.batch_size or None, batching)
+
+
+def _descent_step(cfg, objective, datasets, region, sigma, s, clip=0.0):
+    """Projected descent on the holder's s-averaged gradient plus N(0, sigma^2 I)."""
+
+    def step(client, theta, eta, batching, noise):
+        grad = _client_gradient(objective, datasets, cfg, client, theta, s, batching)
+        spec = StepSpec(eta=eta, sigma=sigma, region=region, ascent=False)
+        return noisy_projected_step(theta, clip_gradient(grad, clip), spec, noise)
+
+    return step
+
+
+def _walk(cfg, objective, datasets, theta, hops, label, route, step, r_dom, G, report=None):
+    """The hop loop of every protocol: route, step, log.
+
+    Routing, minibatch and noise draws come from the ``<label>.routing``,
+    ``.batch`` and ``.noise`` substreams. ``route(prev, rng)`` names the
+    next holder and ``step(client, theta, eta, batching, noise)`` returns
+    the model after that holder's update at stepsize ``eta``.
+    """
+    routing = substream(cfg.seed, f"{label}.routing")
+    batching = substream(cfg.seed, f"{label}.batch")
+    noise = substream(cfg.seed, f"{label}.noise")
+    prev = int(routing.integers(1, cfg.n_clients + 1))
+    messages = []
+    trace = [] if cfg.trace else None
+    for t in range(1, hops + 1):
+        cur = route(prev, routing)
+        eta_t = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G)
+        theta = step(cur, theta, eta_t, batching, noise)
+        at_u = cur == cfg.unlearn_client
+        messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
+        if trace is not None:
+            trace.append(_trace_row(objective, datasets, cfg, t, cur, theta, at_u))
+        prev = cur
+    return RunResult(
+        final=ModelState(theta),
+        transcript=Transcript(tuple(messages)),
+        report=report,
+        trace=tuple(trace) if trace is not None else None,
+    )
+
+
 def run_token_training(
     cfg: RunConfig,
     objective,
@@ -141,37 +192,18 @@ def run_token_training(
     """Token walk training: noiseless local steps, uniform edge forwarding."""
     validate_config(cfg)
     graph = Graph.complete(cfg.n_clients)
-    routing = substream(cfg.seed, f"{label}.routing")
-    batching = substream(cfg.seed, f"{label}.batch")
     theta = _init_theta(cfg, theta0)
     region = _domain_region(cfg, theta.shape[0])
-    r_dom = 2.0 * cfg.domain_radius
-    G = cfg.grad_bound
-    prev = int(routing.integers(1, cfg.n_clients + 1))
-    messages = []
-    trace = [] if cfg.trace else None
-    for t in range(1, cfg.train_hops + 1):
-        cur = route_uniform(prev, graph, routing)
-        data = datasets[cur - 1]
-        if data.n_u == 0:
-            raise ValueError(f"client {cur} has an empty dataset")
-        grad = averaged_gradient(
-            objective, data, theta, 1, cfg.batch_size or None, batching
-        )
-        eta_t = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G)
-        theta = theta - eta_t * grad
-        if cfg.domain == "ball":
-            theta = project(theta, region)
-        at_u = cur == cfg.unlearn_client
-        messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
-        if trace is not None:
-            trace.append(_trace_row(objective, datasets, cfg, t, cur, theta, at_u))
-        prev = cur
-    return RunResult(
-        final=ModelState(theta),
-        transcript=Transcript(tuple(messages)),
-        report=None,
-        trace=tuple(trace) if trace is not None else None,
+
+    def step(client, theta, eta, batching, noise):
+        grad = _client_gradient(objective, datasets, cfg, client, theta, 1, batching)
+        theta = theta - eta * grad
+        return project(theta, region) if cfg.domain == "ball" else theta
+
+    return _walk(
+        cfg, objective, datasets, theta, cfg.train_hops, label,
+        lambda prev, rng: route_uniform(prev, graph, rng), step,
+        r_dom=2.0 * cfg.domain_radius, G=cfg.grad_bound,
     )
 
 
@@ -232,9 +264,10 @@ def run_private_baseline(
     """Network-private walk: i.i.d. uniform active client, noise on every hop.
 
     The noise scale follows the closed-form Gaussian calibration for the
-    configured (eps, delta) at edit distance ``group_edit``; per-example
-    clipping is applied only when ``clip`` is set (the single-machine
-    DP-SGD comparison path).
+    configured (eps, delta) at edit distance ``group_edit``. When ``clip``
+    is set, each hop's averaged minibatch gradient is rescaled to norm at
+    most ``clip`` before the noise is added (the single-machine DP-SGD
+    comparison path); there is no per-example clipping.
     """
     validate_config(cfg)
     if cfg.domain != "ball":
@@ -242,41 +275,16 @@ def run_private_baseline(
     sigma = cfg.sigma
     if sigma is None:
         sigma = baseline_group_sigma(cfg.eps, cfg.delta, cfg.grad_bound, cfg.group_edit)
-    routing = substream(cfg.seed, f"{label}.routing")
-    batching = substream(cfg.seed, f"{label}.batch")
-    noise = substream(cfg.seed, f"{label}.noise")
     theta = _init_theta(cfg, theta0)
     region = _domain_region(cfg, theta.shape[0])
     G = math.sqrt(
         effective_variance_bound(cfg.grad_bound, 1.0, 1, theta.shape[0], sigma)
     )
-    r_dom = 2.0 * cfg.domain_radius
-    prev = int(routing.integers(1, cfg.n_clients + 1))
-    messages = []
-    trace = [] if cfg.trace else None
-    for t in range(1, cfg.train_hops + 1):
-        cur = int(routing.integers(1, cfg.n_clients + 1))
-        data = datasets[cur - 1]
-        if data.n_u == 0:
-            raise ValueError(f"client {cur} has an empty dataset")
-        grad = averaged_gradient(
-            objective, data, theta, 1, cfg.batch_size or None, batching
-        )
-        if cfg.clip > 0:
-            grad = clip_gradient(grad, cfg.clip)
-        eta_t = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G)
-        spec = StepSpec(eta=eta_t, sigma=sigma, region=region, ascent=False)
-        theta = noisy_projected_step(theta, grad, spec, noise)
-        at_u = cur == cfg.unlearn_client
-        messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
-        if trace is not None:
-            trace.append(_trace_row(objective, datasets, cfg, t, cur, theta, at_u))
-        prev = cur
-    return RunResult(
-        final=ModelState(theta),
-        transcript=Transcript(tuple(messages)),
-        report=_baseline_record(cfg, sigma),
-        trace=tuple(trace) if trace is not None else None,
+    return _walk(
+        cfg, objective, datasets, theta, cfg.train_hops, label,
+        lambda prev, rng: int(rng.integers(1, cfg.n_clients + 1)),
+        _descent_step(cfg, objective, datasets, region, sigma, 1, cfg.clip),
+        r_dom=2.0 * cfg.domain_radius, G=G, report=_baseline_record(cfg, sigma),
     )
 
 
@@ -289,9 +297,10 @@ def run_dpsgd(
 ) -> RunResult:
     """Single-machine clipped DP-SGD comparison run.
 
-    Pools all clients' data and runs the noisy projected loop with
-    per-example clipping at ``clip``; exists for experiment parity only and
-    carries no network-level certification.
+    Pools all clients' data and runs the noisy projected loop, clipping
+    each hop's averaged minibatch gradient at ``clip`` (``grad_bound`` when
+    unset); exists for experiment parity only and carries no network-level
+    certification.
     """
     pooled_feats = np.vstack([d.features for d in datasets])
     pooled_labels = np.concatenate([d.labels for d in datasets])
@@ -324,9 +333,6 @@ def run_unlearning(
     if data_u.m == data_u.n_u and data_u.m > 0:
         raise ValueError("retained set empty")
     graph = Graph.complete(cfg.n_clients)
-    routing = substream(cfg.seed, f"{label}.routing")
-    batching = substream(cfg.seed, f"{label}.batch")
-    noise = substream(cfg.seed, f"{label}.noise")
     theta = _init_theta(cfg, theta0)
     ref = theta.copy() if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
 
@@ -357,48 +363,26 @@ def run_unlearning(
 
     region = _domain_region(cfg, theta.shape[0])
     trust = region.with_trust(ref, cfg.trust_radius)
+    descend = _descent_step(cfg, objective, datasets, region, 0.0, cfg.s)
+
+    def step(client, theta, eta, batching, noise):
+        if client != cfg.unlearn_client:
+            return descend(client, theta, eta, batching, noise)
+        g_u = corrective_gradient(
+            objective, data_u, theta, cfg.mode, cfg.batch_size or None, batching
+        )
+        spec = StepSpec(eta=eta, sigma=sigma, region=trust, ascent=True)
+        return noisy_projected_step(theta, g_u, spec, noise)
+
     dim = theta.shape[0]
     G = math.sqrt(effective_variance_bound(cfg.grad_bound, cfg.p, cfg.s, dim, sigma))
     r_dom = 2.0 * min(
         cfg.trust_radius, cfg.domain_radius if cfg.domain == "ball" else math.inf
     )
-    prev = int(routing.integers(1, cfg.n_clients + 1))
-    messages = []
-    trace = [] if cfg.trace else None
-    for t in range(1, cfg.unlearn_hops + 1):
-        cur = route_restart(cfg.unlearn_client, cfg.p, graph, routing)
-        eta_t = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G)
-        if cur == cfg.unlearn_client:
-            g_u = corrective_gradient(
-                objective,
-                data_u,
-                theta,
-                cfg.mode,
-                cfg.batch_size or None,
-                batching,
-            )
-            spec = StepSpec(eta=eta_t, sigma=sigma, region=trust, ascent=True)
-            theta = noisy_projected_step(theta, g_u, spec, noise)
-        else:
-            data = datasets[cur - 1]
-            if data.n_u == 0:
-                raise ValueError(f"client {cur} has an empty dataset")
-            grad = averaged_gradient(
-                objective, data, theta, cfg.s, cfg.batch_size or None, batching
-            )
-            spec = StepSpec(eta=eta_t, sigma=0.0, region=region, ascent=False)
-            theta = noisy_projected_step(theta, grad, spec, noise)
-        at_u = cur == cfg.unlearn_client
-        messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
-        if trace is not None:
-            trace.append(_trace_row(objective, datasets, cfg, t, cur, theta, at_u))
-        prev = cur
-    record = PrivacyRecord(sigma=sigma, view=view)
-    return RunResult(
-        final=ModelState(theta),
-        transcript=Transcript(tuple(messages)),
-        report=record,
-        trace=tuple(trace) if trace is not None else None,
+    return _walk(
+        cfg, objective, datasets, theta, cfg.unlearn_hops, label,
+        lambda prev, rng: route_restart(cfg.unlearn_client, cfg.p, graph, rng), step,
+        r_dom=r_dom, G=G, report=PrivacyRecord(sigma=sigma, view=view),
     )
 
 

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from walkforget import CorrectionMode, RunConfig, config_to_text
 from walkforget.cli import main
 
@@ -127,6 +129,24 @@ class TestExitCodes:
         assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
         assert main(["gen-data", "--config", cfg, "--out", str(out), "--force"]) == 0
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["foo=1,2", "seed=1,2", "n_clients=3.5", "mode=exact", "trace=0,1",
+         "sigma=auto", "p=0.1,", "p"],
+    )
+    def test_bad_sweep_key_or_value_is_config_error(self, tmp_path, capsys, spec):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg, "--out", str(out), "--sweep", spec])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert not [f for f in os.listdir(out) if f.startswith("point_")]
+
+    def test_sweep_has_no_seed_option(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        args = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]
+        assert main(args) == 2
+
 
 class TestPipelines:
     def test_gen_data_files(self, tmp_path):
@@ -193,6 +213,22 @@ class TestSweep:
         assert (out / "sweep.csv").read_bytes() == final
         for f in points:
             assert os.path.getmtime(out / f) == mtimes[f]
+
+    def test_numeric_fields_typed_like_config_files(self, tmp_path):
+        cfg = write_cfg(tmp_path, train_hops=10, unlearn_hops=8, test_size=40)
+        out = tmp_path / "sweep"
+        args = [
+            "sweep", "--config", cfg, "--out", str(out),
+            "--sweep", "n_clients=4,5", "--sweep", "sigma=0.2", "--seeds", "1",
+        ]
+        assert main(args) == 0
+        points = sorted(f for f in os.listdir(out) if f.startswith("point_"))
+        assert points == [
+            "point_n_clients=4_sigma=0.2.csv", "point_n_clients=5_sigma=0.2.csv",
+        ]
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[0].startswith("n_clients,sigma,seed,phase,")
+        assert [r.split(",")[0] for r in rows[1:]] == ["4"] * 3 + ["5"] * 3
 
     def test_interrupted_sweep_resumes(self, tmp_path):
         cfg = write_cfg(tmp_path, train_hops=10, unlearn_hops=8, test_size=40)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkforget import (
     ClientDataset,
@@ -79,6 +81,136 @@ class TestProject:
                 y = rng.normal(size=4) * 3
                 px, py = project(x, region), project(y, region)
                 assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+
+def _circle_optimum(x, c1, r1, c2, r2):
+    """Nearest point of the lens boundary circle to x, from the plane of x, c1, c2.
+
+    In that plane, with c1 at the origin and c2 on the first axis, the two
+    boundary circles meet at (alpha, +-beta); the optimum is the one on
+    x's side of the axis.
+    """
+    e1 = (c2 - c1) / np.linalg.norm(c2 - c1)
+    off = (x - c1) - ((x - c1) @ e1) * e1
+    e2 = off / np.linalg.norm(off)
+    dist = np.linalg.norm(c2 - c1)
+    alpha = (r1**2 - r2**2 + dist**2) / (2 * dist)
+    beta = np.sqrt(r1**2 - alpha**2)
+    return c1 + alpha * e1 + beta * e2
+
+
+def _kkt_multipliers(x, y, c1, c2):
+    """Least-squares (l1, l2) with x - y = l1 (y - c1) + l2 (y - c2), and the residual."""
+    A = np.column_stack([y - c1, y - c2])
+    lam, *_ = np.linalg.lstsq(A, x - y, rcond=None)
+    return lam, float(np.linalg.norm(A @ lam - (x - y)))
+
+
+class TestTwoBallProjection:
+    def test_trust_centre_on_domain_sphere(self):
+        # The geometry where alternating projections stall: the trust ball
+        # is centred on the domain sphere and x lies far outside both.
+        d = 10
+        c1, r1 = np.zeros(d), 10.0
+        direction = np.zeros(d)
+        direction[0] = 1.0
+        c2, r2 = r1 * direction, 0.4
+        region = FeasibleRegion.ball(c1, r1).with_trust(c2, r2)
+        rng = substream(33, "proj")
+        for _ in range(50):
+            x = c2 + rng.normal(size=d) * 5.0
+            x[0] = abs(x[0]) + r1 + 1.0
+            y = project(x, region)
+            star = _circle_optimum(x, c1, r1, c2, r2)
+            assert np.linalg.norm(y - star) <= 1e-9
+            lam, resid = _kkt_multipliers(x, star, c1, c2)
+            assert resid <= 1e-9 * np.linalg.norm(x) and np.all(lam >= 0)
+
+    def test_disjoint_balls_rejected(self):
+        region = FeasibleRegion.ball(np.zeros(3), 1.0).with_trust(np.array([3.0, 0, 0]), 1.0)
+        with pytest.raises(ValueError):
+            project(np.array([1.5, 2.0, 0.0]), region)
+
+
+@st.composite
+def two_ball_geometry(draw):
+    """Intersecting balls in dimension up to 1000, often nearly tangent."""
+    d = draw(st.integers(2, 1000))
+    r1 = draw(st.floats(0.05, 50.0))
+    r2 = draw(st.floats(0.05, 50.0))
+    lo, hi = abs(r1 - r2), r1 + r2
+    # relative gap to tangency; exact tangency is left out because rounding
+    # the centres moves a one-point lens by about sqrt(machine eps) * radius
+    gap = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
+    where = draw(st.sampled_from(["inner", "outer", "between"]))
+    if where == "inner":
+        dist = lo + gap * hi
+    elif where == "outer":
+        dist = hi * (1.0 - gap)
+    else:
+        dist = lo + draw(st.floats(0.01, 0.99)) * (hi - lo)
+    dist = max(dist, 1e-3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c1 = rng.normal(size=d)
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    c2 = c1 + dist * u
+    # points scattered around the centre of the lens, where both
+    # constraints are most often active
+    mid = c1 + (dist**2 + r1**2 - r2**2) / (2 * dist) * u
+    scale = draw(st.sampled_from([0.5, 2.0, 100.0])) * (r1 + r2)
+    x, y = (mid + rng.normal(size=d) * scale / np.sqrt(d) for _ in range(2))
+    return FeasibleRegion.ball(c1, r1).with_trust(c2, r2), x, y, rng
+
+
+def _tol(region, *points):
+    return 1e-9 * (1.0 + region.radius + region.trust_radius + max(np.linalg.norm(p) for p in points))
+
+
+TWO_BALL_EXAMPLES = settings(max_examples=150, deadline=None)
+
+
+class TestTwoBallProperties:
+    @TWO_BALL_EXAMPLES
+    @given(two_ball_geometry())
+    def test_feasible_and_idempotent(self, geom):
+        region, x, _, _ = geom
+        px = project(x, region)
+        tol = _tol(region, x)
+        assert np.linalg.norm(px - region.center) <= region.radius + tol
+        assert np.linalg.norm(px - region.trust_center) <= region.trust_radius + tol
+        assert np.linalg.norm(project(px, region) - px) <= tol
+
+    @TWO_BALL_EXAMPLES
+    @given(two_ball_geometry())
+    def test_obtuse_angle(self, geom):
+        # (x - P x) . (z - P x) <= 0 for every feasible z; z runs over the
+        # lens's boundary circle and the segment joining the lens's tips
+        region, x, _, rng = geom
+        c1, r1 = region.center, region.radius
+        c2, r2 = region.trust_center, region.trust_radius
+        px = project(x, region)
+        dist = np.linalg.norm(c2 - c1)
+        u = (c2 - c1) / dist
+        a = (dist**2 + r1**2 - r2**2) / (2 * dist)
+        rho = np.sqrt(max(r1**2 - a**2, 0.0))
+        lo, hi = max(-r1, dist - r2), min(r1, dist + r2)
+        zs = []
+        for _ in range(20):
+            v = rng.normal(size=x.shape[0])
+            v -= (v @ u) * u
+            zs.append(c1 + a * u + rho * v / np.linalg.norm(v))
+            zs.append(c1 + rng.uniform(lo, max(lo, hi)) * u)
+        tol = _tol(region, x) * (1.0 + np.linalg.norm(x - px))
+        for z in zs:
+            assert (x - px) @ (z - px) <= tol * (1.0 + np.linalg.norm(z - px))
+
+    @TWO_BALL_EXAMPLES
+    @given(two_ball_geometry())
+    def test_non_expansive(self, geom):
+        region, x, y, _ = geom
+        gap = np.linalg.norm(project(x, region) - project(y, region))
+        assert gap <= np.linalg.norm(x - y) + _tol(region, x, y)
 
 
 class TestAveragedGradient:

@@ -295,3 +295,130 @@ class TestSerialization:
         with pytest.raises(FileExistsError):
             save_result(out, outdir)
         save_result(out, outdir, force=True)
+
+
+# Golden outputs. Each case pins the sha256 of every artifact a runner
+# produces (final params, transcript lines, privacy report, trace) and of
+# the run_point rows. The digests were recorded before the runners shared
+# one walk loop and must not be re-recorded to make a change pass: a
+# refactor of the loop keeps every output bit-identical.
+
+GOLDEN_BASE = dict(
+    n_clients=4, dim=3, train_hops=40, unlearn_hops=30, p=0.3, s=2, eta=0.2,
+    unlearn_client=2, domain_radius=10.0, trust_radius=1.0, local_size=24,
+    forget_size=4, test_size=30, trace=True,
+)
+
+GOLDEN_CASES = {
+    "logistic-minibatch-lightweight-auto": dict(
+        objective="logistic", batch_size=5, mode=CorrectionMode.LIGHTWEIGHT, sigma=None,
+    ),
+    "logistic-fullbatch-exact-decreasing-clip-group": dict(
+        objective="logistic", batch_size=0, mode=CorrectionMode.EXACT, sigma=0.4,
+        stepsize_rule="decreasing", clip=0.5, group_edit=2, seed=5,
+    ),
+    "quadratic-fullbatch-exact-full-domain": dict(
+        objective="quadratic", batch_size=0, mode=CorrectionMode.EXACT, sigma=0.3,
+        domain="full", eta=0.1, seed=9,
+    ),
+    "quadratic-minibatch-lightweight-decreasing": dict(
+        objective="quadratic", batch_size=4, s=3, mode=CorrectionMode.LIGHTWEIGHT,
+        sigma=None, stepsize_rule="decreasing", trust_radius=0.5, p=0.6, seed=3,
+    ),
+}
+
+GOLDEN = {
+    "logistic-fullbatch-exact-decreasing-clip-group": {
+        "train": "f1e327307210c8698c6830c3b118a6fbe60df91324b18f7c67aa953e854ed55b",
+        "unlearn": "a4273c2c36ed149624b5b6c4ce4bd2f6a26191a4a5e2251383f86f0761ed541e",
+        "certifier": "76e5caaaab45c43bc38619a3c541b007fe0e70a470a5067e451cbd0911dca3fc",
+        "run_point": "63cd8e6faf23d2f1329af5429cfda39363666fa38542c3b84103f4cf5e17a868",
+        "baseline": "9b0176716c58dae104c778349fcf4a44c48f11f7e2f46dad9845f787632b6228",
+        "dpsgd": "de06ced5aa2833180e389b07c623a318f3191639a4b153063ef0ee7a9fe6c745",
+    },
+    "logistic-minibatch-lightweight-auto": {
+        "train": "64e8e167375e37866f754bc103f53c39961e1f835d429714ee19fc6b30f45626",
+        "unlearn": "ce2a97b21dcf4c6a3e8025182e49336785291a761742161b91fd1b16515da2c6",
+        "certifier": "5a73d76399880c3aa6f9bcd8a5c02fb9f776b6034e4b63c7b43f8106893f8844",
+        "run_point": "a9b7c3ac265606fcb09e452dc736e3df4be3a5668538719cde6a1ab11708a5e5",
+        "baseline": "e8e7671719b157a8bcd3671dc4d678d9d1e6291be71529e17264177457db1548",
+        "dpsgd": "cbf75a850e6f954f59d0942f003a65841bc0fb90ef16ab6fa100a26c93d0f66c",
+    },
+    "quadratic-fullbatch-exact-full-domain": {
+        "train": "7c3f027819cea8647f1aadb573a6f8eaa48b9dfc5681b4fd6ba77bd4ba900f87",
+        "unlearn": "649f398284b7c4e54d73e347be14f725d238f7091f25305d5dd88322a9376a75",
+        "certifier": "b5d9f19382092f48bfbf53b08b727b59f5ae3ff27c774dc316bb96c3e763e21c",
+        "run_point": "32b6266722427f6bb85aa3bb10fa3fb51686f6a21cf4fa4e5ac0fc7d14cf8504",
+    },
+    "quadratic-minibatch-lightweight-decreasing": {
+        "train": "8020ffb85be779f0c95518267fe235fda25bd4f03ff7335bd91c3f19e46a6e17",
+        "unlearn": "98316aafc1e9dc8ee8aebec37d0d728194e22baaabb8bd53e7bb9ee960f074d2",
+        "certifier": "08cd569ad80019d5bdcae3dab7e7ea595d4569aa493b9ca4a022bae93580c5c4",
+        "run_point": "28e14368489028a5f483ef32315a0ee13413f9257b960c9b2aef7485021909fa",
+        "baseline": "e271c933d9c5615e1ce678b9f9797601a3abaa728bdb0cd4d7ba04d089295147",
+        "dpsgd": "a7792ca6ade1dc79cb691a7e5642c1eb3da065282a81fbc33e610270f2e6d008",
+    },
+}
+
+
+def _sha(obj) -> str:
+    import hashlib
+
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _result_digest(result) -> str:
+    return _sha({
+        "params": np.ascontiguousarray(result.final.params, dtype="<f8").tobytes().hex(),
+        "transcript": result.transcript.to_lines(),
+        "report": None if result.report is None else result.report.to_dict(),
+        "trace": None if result.trace is None else [list(row) for row in result.trace],
+    })
+
+
+def _is_two_ball(x, region) -> bool:
+    """Neither single-ball projection lies in the other ball."""
+
+    def onto(c, r):
+        d = x - c
+        n = np.linalg.norm(d)
+        return x if n <= r else c + d * (r / n)
+
+    c1, r1, c2, r2 = region.center, region.radius, region.trust_center, region.trust_radius
+    return bool(
+        np.linalg.norm(onto(c2, r2) - c1) > r1 and np.linalg.norm(onto(c1, r1) - c2) > r2
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_outputs(case, monkeypatch):
+    from walkforget import make_task, optimizer, run_dpsgd, run_point
+
+    two_ball = []
+    inner = optimizer.project
+
+    def watched(theta, region):
+        if region.kind == "ball" and region.trust_center is not None:
+            two_ball.append(_is_two_ball(np.asarray(theta, dtype=np.float64), region))
+        return inner(theta, region)
+
+    monkeypatch.setattr(optimizer, "project", watched)
+    cfg = RunConfig(**{**GOLDEN_BASE, **GOLDEN_CASES[case]})
+    task = make_task(cfg)
+    objective, datasets = task.objective, list(task.datasets)
+    trained = run_token_training(cfg, objective, datasets)
+    got = {
+        "train": _result_digest(trained),
+        "unlearn": _result_digest(
+            run_unlearning(cfg, objective, datasets, trained.final,
+                           theta_ref=trained.final.params)
+        ),
+        "certifier": _result_digest(run_certifier(cfg, objective, datasets)),
+        "run_point": _sha(run_point(cfg, task)),
+    }
+    if cfg.domain == "ball":
+        got["baseline"] = _result_digest(run_private_baseline(cfg, objective, datasets))
+        got["dpsgd"] = _result_digest(run_dpsgd(cfg, objective, datasets))
+    assert two_ball or cfg.domain == "full"
+    assert not any(two_ball), "a golden case reached the two-ball branch"
+    assert got == GOLDEN[case]
