@@ -87,6 +87,7 @@ from .objectives import (
     global_grad,
     global_loss,
     grad_local,
+    loss_panel,
     make_logistic_task,
     make_quadratic_task,
     retained_global_grad,

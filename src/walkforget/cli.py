@@ -257,7 +257,10 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     sweep = _parse_sweep(args.sweep)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise ConfigError([f"--seeds must list integers, got {args.seeds!r}"]) from None
     keys = sorted(sweep)
     points = list(_sweep_points(ExperimentSpec(cfg, sweep, seeds)))
     # one result file per sweep point; existing files are trusted and skipped

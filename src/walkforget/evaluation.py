@@ -95,9 +95,7 @@ def evaluate(
             if optimum is None
             else np.asarray(optimum)
         )
-        excess = global_loss(objective, datasets, theta, exclude_forget=True) - global_loss(
-            objective, datasets, star, exclude_forget=True
-        )
+        excess = retained_loss - global_loss(objective, datasets, star, exclude_forget=True)
     return Metrics(
         clean_accuracy=clean_acc,
         forget_accuracy=forget_acc,

@@ -31,6 +31,7 @@ __all__ = [
     "corrective_gradient",
     "closed_form_optimum",
     "global_loss",
+    "loss_panel",
     "global_grad",
     "retained_global_grad",
     "SyntheticTask",
@@ -54,9 +55,22 @@ class QuadraticObjective:
         diff = theta - x
         return 0.5 * float(diff @ diff)
 
+    def mean_losses(self, theta, feats, labels):
+        """Mean per-example loss along the ``n`` axis of ``(..., n, d)`` rows.
+
+        One client is ``(n, d)`` (``batch_loss``); ``loss_panel`` passes k
+        clients of one size as ``(k, n, d)``. Each client's values are
+        reduced along the last axis, the pairwise sum ``np.mean`` uses, so
+        a stacked client's loss is bit-identical to its ``batch_loss``
+        (``np.add.reduceat`` sums differently and is not used).
+        """
+        diff = theta - feats
+        np.multiply(diff, diff, out=diff)
+        rows = np.add.reduce(diff, axis=-1)
+        return 0.5 * (np.add.reduce(rows, axis=-1) / rows.shape[-1])
+
     def batch_loss(self, theta, feats, labels) -> float:
-        diff = theta[None, :] - feats
-        return 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
+        return float(self.mean_losses(theta, feats, labels))
 
     def batch_grad(self, theta, feats, labels) -> np.ndarray:
         return theta - feats.mean(axis=0)
@@ -83,10 +97,23 @@ class LogisticObjective:
     smoothness: float = 0.25
     kind: str = "logistic"
 
+    def mean_losses(self, theta, feats, labels):
+        """Mean per-example loss along the ``n`` axis of ``(..., n, d)`` rows.
+
+        Bit-identical per client whether it comes alone as ``(n, d)`` or
+        stacked as ``(k, n, d)``, as for ``QuadraticObjective.mean_losses``.
+        The stacked matmul runs one gemv per client at that client's shape;
+        one 2-D gemv over all clients' rows would round differently.
+        """
+        rows = feats @ theta
+        np.multiply(labels, rows, out=rows)
+        np.negative(rows, out=rows)
+        # log(1 + exp(-margin)) computed stably
+        np.logaddexp(0.0, rows, out=rows)
+        return np.add.reduce(rows, axis=-1) / rows.shape[-1]
+
     def batch_loss(self, theta, feats, labels) -> float:
-        margins = labels * (feats @ theta)
-        # log(1 + exp(-m)) computed stably
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        return float(self.mean_losses(theta, feats, labels))
 
     def example_loss(self, theta, x, y) -> float:
         return self.batch_loss(theta, x[None, :], np.array([y]))
@@ -215,7 +242,11 @@ def closed_form_optimum(objective, datasets, exclude_forget: bool = False) -> np
 
 
 def global_loss(objective, datasets, theta, exclude_forget: bool = False) -> float:
-    """User-averaged empirical risk, optionally on the retained data only."""
+    """User-averaged empirical risk, optionally on the retained data only.
+
+    For many evaluations on the same data, ``loss_panel`` gives the same
+    number for less work.
+    """
     total = 0.0
     for data in datasets:
         if exclude_forget and data.m > 0:
@@ -223,6 +254,49 @@ def global_loss(objective, datasets, theta, exclude_forget: bool = False) -> flo
         else:
             total += local_loss(objective, data, theta, "full")
     return total / len(datasets)
+
+
+def loss_panel(objective, datasets, exclude_forget: bool = False):
+    """``global_loss`` as a function of theta, for many evaluations on fixed data.
+
+    The rows each client contributes (its retained rows when
+    ``exclude_forget`` and it has a forget set) are copied once, grouped by
+    shape into ``(k, n, d)`` and ``(k, n)`` stacks; a dataset object listed
+    more than once, as in ``run_dpsgd``'s pooled list, is stacked once.
+    Each call makes one ``mean_losses`` call per group and adds the
+    clients' losses in client order with a sequential ``+=``, as
+    ``global_loss`` does.
+
+    The result is bit-identical to ``global_loss``. That rules out two
+    shortcuts: one 2-D matmul over all stacked rows changes the gemv's
+    blocking (the last bits differ when a client's n is not a multiple of
+    4), and ``np.add.reduceat`` does not sum a client's losses pairwise as
+    ``np.mean`` does. The client total is not taken with ``np.sum``,
+    ``math.fsum`` or builtin ``sum`` (compensated from Python 3.12), which
+    round differently. The panel holds one copy of the rows.
+    """
+    slot_of = {}  # id(dataset) -> index of its loss among the distinct datasets
+    groups = {}  # row shape -> [(features, labels, slot)]
+    for data in datasets:
+        if id(data) not in slot_of:
+            slot_of[id(data)] = len(slot_of)
+            subset = "retained" if exclude_forget and data.m > 0 else "full"
+            feats, labels = _subset_arrays(data, subset)
+            groups.setdefault(feats.shape, []).append((feats, labels, slot_of[id(data)]))
+    stacks = [(np.stack(f), np.stack(y), np.array(s))
+              for f, y, s in (zip(*members) for members in groups.values())]
+    order = np.array([slot_of[id(data)] for data in datasets], dtype=np.intp)
+
+    def panel(theta) -> float:
+        losses = np.empty(len(slot_of))
+        for feats, labels, slots in stacks:
+            losses[slots] = objective.mean_losses(theta, feats, labels)
+        total = 0.0
+        for loss in losses[order].tolist():
+            total += loss
+        return total / len(order)
+
+    return panel
 
 
 def global_grad(objective, datasets, theta) -> np.ndarray:
@@ -346,7 +420,6 @@ def make_logistic_task(
         return out
 
     blocks = []
-    all_feats = []
     for c in range(1, n_clients + 1):
         x, y = sample_clean(local_size)
         forget = ()
@@ -359,11 +432,11 @@ def make_logistic_task(
             y[idx] = 1.0  # flipped: true label is -1 by construction
             forget = tuple(int(i) for i in idx)
         blocks.append((x, y, forget))
-        all_feats.append(x)
     test_x, test_y = sample_clean(test_size)
-    all_feats.append(test_x)
 
-    scale = max(np.linalg.norm(np.vstack(all_feats), axis=1).max(), 1e-12)
+    # the largest row norm, block by block: np.vstack would copy every feature
+    feats = [x for x, _, _ in blocks] + [test_x]
+    scale = max(max(np.linalg.norm(x, axis=1).max(initial=0.0) for x in feats), 1e-12)
     datasets = tuple(
         ClientDataset(x / scale, y, forget) for (x, y, forget) in blocks
     )

@@ -48,11 +48,7 @@ from .core import (
     validate_config,
 )
 from .network import Message, Transcript, route_restart, route_uniform
-from .objectives import (
-    corrective_gradient,
-    global_loss,
-    local_loss,
-)
+from .objectives import corrective_gradient, local_loss, loss_panel
 from .optimizer import (
     StepSpec,
     averaged_gradient,
@@ -124,9 +120,9 @@ def _init_theta(cfg: RunConfig, theta0) -> np.ndarray:
     return np.asarray(theta0, dtype=np.float64).copy()
 
 
-def _trace_row(objective, datasets, cfg, t, client, theta, at_target):
-    data_u = datasets[cfg.unlearn_client - 1]
-    retained = global_loss(objective, datasets, theta, exclude_forget=True)
+def _trace_row(objective, retained_loss, data_u, t, client, theta, at_target):
+    """One trace row; ``retained_loss`` is the walk's ``loss_panel``."""
+    retained = retained_loss(theta)
     forget = (
         local_loss(objective, data_u, theta, "forget") if data_u.m > 0 else math.nan
     )
@@ -164,7 +160,11 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, step, r_dom, G, r
     noise = substream(cfg.seed, f"{label}.noise")
     prev = int(routing.integers(1, cfg.n_clients + 1))
     messages = []
-    trace = [] if cfg.trace else None
+    trace = None
+    if cfg.trace:
+        trace = []
+        retained_loss = loss_panel(objective, datasets, exclude_forget=True)
+        data_u = datasets[cfg.unlearn_client - 1]
     for t in range(1, hops + 1):
         cur = route(prev, routing)
         eta_t = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G)
@@ -172,7 +172,7 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, step, r_dom, G, r
         at_u = cur == cfg.unlearn_client
         messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
         if trace is not None:
-            trace.append(_trace_row(objective, datasets, cfg, t, cur, theta, at_u))
+            trace.append(_trace_row(objective, retained_loss, data_u, t, cur, theta, at_u))
         prev = cur
     return RunResult(
         final=ModelState(theta),

@@ -142,6 +142,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config:")
         assert not [f for f in os.listdir(out) if f.startswith("point_")]
 
+    @pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1,", "1.5", "0x1"])
+    def test_bad_seeds_is_config_error(self, tmp_path, capsys, seeds):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg, "--out", str(out), "--sweep", "p=0.2",
+                     "--seeds", seeds])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: config: --seeds")
+        assert not [f for f in os.listdir(out) if f.startswith("point_")]
+
     def test_sweep_has_no_seed_option(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         args = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]

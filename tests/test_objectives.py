@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkforget import (
     ClientDataset,
@@ -13,7 +15,9 @@ from walkforget import (
     dataset_from_lines,
     dataset_to_lines,
     decompose_gradient,
+    global_loss,
     grad_local,
+    loss_panel,
     make_logistic_task,
     make_quadratic_task,
     substream,
@@ -269,3 +273,60 @@ class TestGenerators:
         np.testing.assert_array_equal(again.features, data.features)
         np.testing.assert_array_equal(again.labels, data.labels)
         assert again.forget_indices == data.forget_indices
+
+
+@st.composite
+def client_lists(draw):
+    """Up to 24 clients of sizes 1-40, d in 1-64, forget sets at some of them.
+
+    More than 8 clients make a pairwise client total differ from the
+    sequential one. Half the time the list is one dataset object repeated,
+    as in run_dpsgd's pooled list. Returns the datasets and three thetas.
+    """
+    d = draw(st.integers(1, 64))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=24))
+    forget_at = draw(st.sets(st.integers(0, len(sizes) - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = []
+    for i, n in enumerate(sizes):
+        m = int(rng.integers(1, n)) if i in forget_at and n > 1 else 0
+        feats = rng.normal(size=(n, d)) / np.sqrt(d)
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        datasets.append(ClientDataset(feats, labels, tuple(rng.permutation(n)[:m])))
+    if draw(st.booleans()):
+        datasets = [datasets[0]] * draw(st.integers(1, 24))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    return datasets, [scale * rng.normal(size=d) for _ in range(3)]
+
+
+OBJECTIVES = st.sampled_from([QuadraticObjective(), LogisticObjective()])
+PANEL_EXAMPLES = settings(max_examples=200, deadline=None)
+
+
+class TestLossPanel:
+    @PANEL_EXAMPLES
+    @given(client_lists(), OBJECTIVES, st.booleans())
+    def test_panel_is_global_loss_bit_for_bit(self, case, objective, exclude_forget):
+        datasets, thetas = case
+        panel = loss_panel(objective, datasets, exclude_forget)
+        for theta in thetas:
+            assert panel(theta) == global_loss(objective, datasets, theta, exclude_forget)
+
+    @PANEL_EXAMPLES
+    @given(client_lists(), OBJECTIVES)
+    def test_batch_loss_is_np_mean_of_example_losses(self, case, objective):
+        datasets, thetas = case
+        for data in datasets:
+            x, y = data.features, data.labels
+            for theta in thetas:
+                if objective.kind == "quadratic":
+                    diff = theta[None, :] - x
+                    want = 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
+                else:
+                    want = float(np.mean(np.logaddexp(0.0, -(y * (x @ theta)))))
+                assert objective.batch_loss(theta, x, y) == want
+
+    def test_panel_rejects_an_all_forget_client(self):
+        data = ClientDataset(np.ones((3, 2)), np.ones(3), (0, 1, 2))
+        with pytest.raises(ValueError, match="retained set empty"):
+            loss_panel(QuadraticObjective(), [data], exclude_forget=True)

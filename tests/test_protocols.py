@@ -103,6 +103,46 @@ class TestTokenTraining:
         out = run_token_training(cfg, quad_task.objective, list(quad_task.datasets))
         assert len(out.trace) == 25
 
+    def test_trace_evaluates_batch_loss_at_most_once_per_hop(self, monkeypatch):
+        # the retained loss over all clients comes from the walk's loss panel;
+        # only the forget loss at the unlearning client is a batch_loss call
+        from walkforget import LogisticObjective, make_logistic_task
+
+        calls = []
+        inner = LogisticObjective.batch_loss
+
+        def counted(self, theta, feats, labels):
+            calls.append(feats.shape)
+            return inner(self, theta, feats, labels)
+
+        monkeypatch.setattr(LogisticObjective, "batch_loss", counted)
+        cfg = quad_cfg(n_clients=50, train_hops=20, objective="logistic", grad_bound=1.0,
+                       local_size=10, forget_size=3, trace=True)
+        task = make_logistic_task(50, 3, 10, 3, 1, substream(98, "data"))
+        out = run_token_training(cfg, task.objective, list(task.datasets))
+        assert len(out.trace) == 20
+        assert 0 < len(calls) <= 20
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_one_loss_panel_per_traced_walk_and_none_untraced(quad_task, monkeypatch, trace):
+    from walkforget import protocols
+
+    built = []
+    inner = protocols.loss_panel
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "loss_panel", counted)
+    cfg = quad_cfg(train_hops=10, unlearn_hops=10, sigma=0.5, trace=trace)
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    trained = run_token_training(cfg, objective, datasets)
+    run_private_baseline(cfg, objective, datasets)
+    run_unlearning(cfg, objective, datasets, trained.final)
+    assert len(built) == (3 if trace else 0)
+
 
 class TestPrivateBaseline:
     def test_sigma_in_report(self, quad_task):
