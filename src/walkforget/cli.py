@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from .accountant import (
@@ -29,11 +30,11 @@ from .capacity import (
 from .core import ConfigError, RunConfig, _field_types, _parse_value, config_from_file
 from .evaluation import (
     ExperimentSpec,
+    _run_sweep,
     _sort_rows,
     _sweep_points,
     make_task,
     rows_to_csv,
-    run_unlearning_experiment,
 )
 from .objectives import SyntheticTask, dataset_from_lines, dataset_to_lines
 from .protocols import (
@@ -261,19 +262,26 @@ def _cmd_sweep(args) -> int:
         seeds = tuple(int(s) for s in args.seeds.split(","))
     except ValueError:
         raise ConfigError([f"--seeds must list integers, got {args.seeds!r}"]) from None
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError([f"--seeds lists a seed more than once: {args.seeds!r}"])
     keys = sorted(sweep)
     points = list(_sweep_points(ExperimentSpec(cfg, sweep, seeds)))
-    # one result file per sweep point; existing files are trusted and skipped
+
+    def path(point):
+        return os.path.join(args.out, _point_filename(keys, point))
+
+    files = [path(point) for point in points]
+    repeated = sorted(os.path.basename(f) for f, n in Counter(files).items() if n > 1)
+    if repeated:
+        raise ConfigError([f"sweep values repeat a point: {', '.join(repeated)}"])
+    # one result file per sweep point, each written as soon as its point
+    # finishes (rows in --seeds order); existing files are trusted and skipped
+    todo = [point for point, f in zip(points, files) if not os.path.exists(f)]
+    _run_sweep(cfg, keys, todo, seeds,
+               on_point=lambda point, rows: rows_to_csv(rows, keys, path(point)))
     all_rows = []
-    for point in points:
-        fname = os.path.join(args.out, _point_filename(keys, point))
-        if not os.path.exists(fname):
-            # one experiment per seed keeps the file's rows in --seeds order
-            single = {k: (point[k],) for k in keys}
-            rows = [row for seed in seeds
-                    for row in run_unlearning_experiment(ExperimentSpec(cfg, single, (seed,)))]
-            rows_to_csv(rows, keys, fname)
-        with open(fname, "r", encoding="utf-8") as fh:
+    for f in files:
+        with open(f, "r", encoding="utf-8") as fh:
             all_rows.extend(_read_point_csv(fh))
     rows_to_csv(_sort_rows(all_rows, keys), keys, os.path.join(args.out, "sweep.csv"))
     print(f"sweep complete: {len(points)} points, {len(all_rows)} rows")

@@ -11,6 +11,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -41,6 +43,20 @@ def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}|{label}|{index}".encode()).digest()
     entropy = int.from_bytes(digest[:16], "little")
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _bounded_get(store, key, capacity: int, make):
+    """``store[key]``, made by ``make()`` on a miss and kept in ``store``.
+
+    ``store`` is an OrderedDict holding at most ``capacity`` entries: before
+    a new value is made, the oldest ones are dropped to make room.
+    """
+    if key in store:
+        return store[key]
+    while store and len(store) >= capacity:
+        store.popitem(last=False)
+    value = store[key] = make()
+    return value
 
 
 def params_hash(params: np.ndarray) -> str:
@@ -189,6 +205,17 @@ class ClientDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the shape, features, labels and forget indices.
+
+        The arrays are read-only, so each dataset object is hashed once.
+        """
+        h = hashlib.sha256(repr((self.features.shape, self.forget_indices)).encode())
+        h.update(self.features.tobytes())
+        h.update(self.labels.tobytes())
+        return h.hexdigest()
 
     def retained_indices(self) -> np.ndarray:
         mask = np.ones(self.n_u, dtype=bool)

@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClientDataset, CorrectionMode, RunConfig, substream, validate_config
+from .core import (
+    ClientDataset,
+    CorrectionMode,
+    RunConfig,
+    _bounded_get,
+    substream,
+    validate_config,
+)
 from .objectives import (
     closed_form_optimum,
     corrective_gradient,
@@ -26,7 +35,7 @@ from .objectives import (
     make_quadratic_task,
     retained_global_grad,
 )
-from .protocols import run_certifier, run_token_training, run_unlearning
+from .protocols import _training_reuse, run_certifier, run_token_training, run_unlearning
 
 __all__ = [
     "Metrics",
@@ -161,6 +170,13 @@ def monte_carlo_update_direction(
     return acc / draws
 
 
+# The RunConfig fields make_task reads; configs equal in these share a task.
+_TASK_FIELDS = (
+    "seed", "objective", "n_clients", "dim", "local_size", "forget_size",
+    "unlearn_client", "test_size",
+)
+
+
 def make_task(cfg: RunConfig, rng=None):
     """Generate the synthetic task named by the config."""
     if rng is None:
@@ -280,16 +296,38 @@ def run_point(cfg: RunConfig, task=None) -> list:
     return rows
 
 
+def _run_sweep(base: RunConfig, keys, points, seeds, on_point=None) -> list:
+    """Rows of every point and seed: points in order, seeds in order within one.
+
+    The configs of one seed share a task while they agree in every field
+    ``make_task`` reads, and training that reads the same inputs runs once
+    (``protocols._training_reuse``). At most ``len(seeds)`` tasks and
+    ``2 * len(seeds)`` training results (train and certifier) are kept, so
+    a sweep over a data field evicts instead of piling them up.
+    ``on_point(point, rows)`` is called as each point finishes.
+    """
+    tasks = OrderedDict()
+    out = []
+    with _training_reuse(2 * len(seeds)):
+        for point in points:
+            rows = []
+            for seed in seeds:
+                # validated before make_task, so a bad value is a ConfigError
+                cfg = validate_config(base.replace(seed=seed, **point))
+                task_key = tuple(getattr(cfg, name) for name in _TASK_FIELDS)
+                task = _bounded_get(tasks, task_key, len(seeds), lambda: make_task(cfg))
+                for row in run_point(cfg, task):
+                    rows.append({**{k: point[k] for k in keys}, "seed": seed, **row})
+            if on_point is not None:
+                on_point(point, rows)
+            out.extend(rows)
+    return out
+
+
 def run_unlearning_experiment(spec: ExperimentSpec) -> list:
     """All sweep points and seeds; rows sorted by sweep keys, seed, phase."""
     keys = sorted(spec.sweep)
-    rows = []
-    for point in _sweep_points(spec):
-        for seed in spec.seeds:
-            cfg = spec.base.replace(seed=seed, **point)
-            for row in run_point(cfg):
-                rows.append({**{k: point[k] for k in keys}, "seed": seed, **row})
-    return _sort_rows(rows, keys)
+    return _sort_rows(_run_sweep(spec.base, keys, _sweep_points(spec), spec.seeds), keys)
 
 
 _PHASE_ORDER = {"pre": 0, "post": 1, "certifier": 2}
@@ -313,12 +351,25 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows, sweep_keys, path) -> None:
+    """Write the rows to ``path`` whole or not at all.
+
+    They go to a hidden temporary file in the same directory, which then
+    replaces ``path``; a write cut short leaves no partial ``path`` behind.
+    """
     header = tuple(sweep_keys) + EXPERIMENT_CSV_HEADER
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in header])
+    folder, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(folder, f".{name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(row.get(col)) for col in header])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _retained_minimizer(objective, data: ClientDataset) -> np.ndarray:

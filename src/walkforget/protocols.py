@@ -14,6 +14,11 @@ the step rule:
 
 The certifier composes training on the retained data with an empty-forget
 unlearning pass, which is the reference process unlearning is compared to.
+
+Inside a ``_training_reuse`` block, a training call whose inputs match an
+earlier one in every field training reads returns that call's result; the
+sweep driver opens one around its points, since a sweep over ``p`` or the
+privacy target retrains identical models.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,7 @@ from .core import (
     Graph,
     ModelState,
     RunConfig,
+    _bounded_get,
     params_hash,
     substream,
     validate_config,
@@ -182,6 +191,45 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, step, r_dom, G, r
     )
 
 
+# RunConfig fields token training never reads. They are reset to their
+# defaults in the reuse key; every other field stays in it, so a field added
+# later costs a cache miss, never a stale hit.
+_UNREAD_BY_TRAINING = {
+    name: getattr(RunConfig(), name)
+    for name in ("p", "s", "unlearn_hops", "sigma", "eps", "delta", "mode", "trust_radius",
+                 "amp_constant", "cal_constant", "clip", "group_edit")
+}
+
+# (kept results, capacity) of the innermost ``_training_reuse`` block, or None.
+_TRAINING_REUSE: ContextVar = ContextVar("walkforget_training_reuse", default=None)
+
+
+@contextmanager
+def _training_reuse(capacity: int):
+    """Reuse training results within the block, keeping the latest ``capacity``.
+
+    Do not hold it across a ``yield``: a suspended generator would lend the
+    block to whatever code its consumer runs meanwhile.
+    """
+    token = _TRAINING_REUSE.set((OrderedDict(), capacity))
+    try:
+        yield
+    finally:
+        _TRAINING_REUSE.reset(token)
+
+
+def _training_key(cfg: RunConfig, objective, datasets, theta: np.ndarray, label: str) -> tuple:
+    """The inputs of a training run, unread config fields reset: equal keys, equal runs."""
+    return (
+        cfg.replace(**_UNREAD_BY_TRAINING),
+        objective,
+        label,
+        theta.shape,
+        theta.tobytes(),
+        tuple(data.digest for data in datasets),
+    )
+
+
 def run_token_training(
     cfg: RunConfig,
     objective,
@@ -189,10 +237,25 @@ def run_token_training(
     theta0=None,
     label: str = "train",
 ) -> RunResult:
-    """Token walk training: noiseless local steps, uniform edge forwarding."""
+    """Token walk training: noiseless local steps, uniform edge forwarding.
+
+    Inside a ``_training_reuse`` block, a call with the key of a kept result
+    returns that result instead of walking again.
+    """
     validate_config(cfg)
-    graph = Graph.complete(cfg.n_clients)
     theta = _init_theta(cfg, theta0)
+    scope = _TRAINING_REUSE.get()
+    if scope is None:
+        return _train(cfg, objective, datasets, theta, label)
+    kept, capacity = scope
+    key = _training_key(cfg, objective, datasets, theta, label)
+    return _bounded_get(
+        kept, key, capacity, lambda: _train(cfg, objective, datasets, theta, label)
+    )
+
+
+def _train(cfg: RunConfig, objective, datasets, theta: np.ndarray, label: str) -> RunResult:
+    graph = Graph.complete(cfg.n_clients)
     region = _domain_region(cfg, theta.shape[0])
 
     def step(client, theta, eta, batching, noise):

@@ -152,6 +152,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config: --seeds")
         assert not [f for f in os.listdir(out) if f.startswith("point_")]
 
+    @pytest.mark.parametrize(
+        "sweep,seeds",
+        [("p=0.1,0.10000000001", "0"), ("p=0.2,0.2", "0"), ("n_clients=4,04", "0"),
+         ("p=0.2", "0,0"), ("p=0.2,0.3", "1,2,1")],
+    )
+    def test_duplicate_sweep_point_is_config_error(self, tmp_path, capsys, sweep, seeds):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg, "--out", str(out), "--sweep", sweep,
+                     "--seeds", seeds])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert os.listdir(out) == []
+
     def test_sweep_has_no_seed_option(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         args = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]
@@ -260,3 +274,53 @@ class TestSweep:
         ]
         assert main(args_part) == 0
         assert (part / "sweep.csv").read_bytes() == (full / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("cut", ["error", "kill"])
+    def test_cut_point_write_leaves_no_file(self, tmp_path, cut):
+        import subprocess
+        import sys
+
+        import walkforget
+
+        cfg = write_cfg(tmp_path, train_hops=10, unlearn_hops=8, test_size=40)
+        args = ["--config", cfg, "--sweep", "p=0.0,0.5", "--seeds", "1,2"]
+        clean = tmp_path / "clean"
+        assert main(["sweep", "--out", str(clean), *args]) == 0
+        # The second point's write stops after 20 of its 66 cells: by an
+        # error the sweep reports, or by the process dying on the spot.
+        stop = "raise OSError('disk full')" if cut == "error" else "os._exit(9)"
+        script = f"""
+import os, sys
+from walkforget import evaluation
+from walkforget.cli import main
+fmt, calls = evaluation._fmt, []
+def failing(value):
+    calls.append(value)
+    if len(calls) == 6 * 11 + 20:
+        {stop}
+    return fmt(value)
+evaluation._fmt = failing
+sys.exit(main(sys.argv[1:]))
+"""
+        cut_dir = tmp_path / "cut"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(walkforget.__file__))}
+        done = subprocess.run([sys.executable, "-c", script, "sweep", "--out", str(cut_dir), *args],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == (1 if cut == "error" else 9)
+        assert [f for f in os.listdir(cut_dir) if not f.startswith(".")] == ["point_p=0.csv"]
+        if cut == "error":
+            assert os.listdir(cut_dir) == ["point_p=0.csv"]
+        assert main(["sweep", "--out", str(cut_dir), *args]) == 0
+        assert _dir_bytes(cut_dir) == _dir_bytes(clean)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("objective", ["logistic", "quadratic"])
+    def test_partial_pass_and_resume_equal_a_full_run(self, tmp_path, objective, trace):
+        cfg = write_cfg(tmp_path, train_hops=10, unlearn_hops=8, test_size=40,
+                        objective=objective, trace=trace)
+        full, part = tmp_path / "full", tmp_path / "part"
+        args = ["--config", cfg, "--seeds", "2,1"]
+        assert main(["sweep", "--out", str(full), "--sweep", "p=0.0,0.3,0.6", *args]) == 0
+        assert main(["sweep", "--out", str(part), "--sweep", "p=0.3", *args]) == 0
+        assert main(["sweep", "--out", str(part), "--sweep", "p=0.0,0.3,0.6", *args]) == 0
+        assert _dir_bytes(part) == _dir_bytes(full)

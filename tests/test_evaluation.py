@@ -270,3 +270,70 @@ class TestAlignmentBiasSweep:
         )
         m, bias, envelope = rows[0]
         assert bias <= envelope < 2 * logistic_task.objective.grad_bound
+
+
+class TestSweepReuse:
+    """The sweep driver makes each task once and runs each distinct training once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import gc
+        import weakref
+
+        from walkforget import evaluation, protocols
+
+        seen = {"walks": [], "tasks": [], "most_tasks_alive": 0}
+        walk, make_task, run_point = protocols._walk, evaluation.make_task, evaluation.run_point
+
+        def counted_walk(cfg, objective, datasets, theta, hops, label, *rest, **kw):
+            seen["walks"].append(label)
+            return walk(cfg, objective, datasets, theta, hops, label, *rest, **kw)
+
+        def counted_make_task(cfg, rng=None):
+            task = make_task(cfg, rng)
+            seen["tasks"].append(weakref.ref(task))
+            return task
+
+        def watched_run_point(cfg, task=None):
+            gc.collect()
+            alive = sum(ref() is not None for ref in seen["tasks"])
+            seen["most_tasks_alive"] = max(seen["most_tasks_alive"], alive)
+            return run_point(cfg, task)
+
+        monkeypatch.setattr(protocols, "_walk", counted_walk)
+        monkeypatch.setattr(evaluation, "make_task", counted_make_task)
+        monkeypatch.setattr(evaluation, "run_point", watched_run_point)
+        return seen
+
+    def test_p_sweep_trains_twice_and_makes_one_task(self, counts):
+        spec = ExperimentSpec(base=_tiny_cfg(), sweep={"p": (0.0, 0.25, 0.5)}, seeds=(1,))
+        rows = run_unlearning_experiment(spec)
+        assert len(rows) == 3 * 3
+        trainings = [w for w in counts["walks"] if w.endswith("train")]
+        assert sorted(trainings) == ["certifier.train", "train"]
+        assert counts["walks"].count("unlearn") == 3
+        assert len(counts["tasks"]) == 1
+
+    def test_data_sweep_holds_one_task_per_seed(self, counts):
+        spec = ExperimentSpec(
+            base=_tiny_cfg(), sweep={"forget_size": (3, 5), "p": (0.1, 0.5)}, seeds=(2, 7)
+        )
+        run_unlearning_experiment(spec)
+        assert len(counts["tasks"]) == 2 * 2
+        assert counts["most_tasks_alive"] == 2
+        trainings = [w for w in counts["walks"] if w.endswith("train")]
+        assert len(trainings) == 2 * 2 * 2  # forget sizes x seeds x (train, certifier)
+
+    def test_rows_equal_independent_points(self):
+        from walkforget import run_point
+
+        spec = ExperimentSpec(
+            base=_tiny_cfg(sigma=None), sweep={"forget_size": (3, 5), "p": (0.1, 0.5)},
+            seeds=(2, 7),
+        )
+        expected = [
+            {"forget_size": f, "p": p, "seed": seed, **row}
+            for f in (3, 5) for p in (0.1, 0.5) for seed in (2, 7)
+            for row in run_point(spec.base.replace(seed=seed, forget_size=f, p=p))
+        ]
+        assert run_unlearning_experiment(spec) == expected

@@ -462,3 +462,154 @@ def test_golden_outputs(case, monkeypatch):
     assert two_ball or cfg.domain == "full"
     assert not any(two_ball), "a golden case reached the two-ball branch"
     assert got == GOLDEN[case]
+
+
+# Training reuse. Inside protocols._training_reuse, a training call whose key
+# matches a kept result returns it; the key leaves out exactly the fields in
+# protocols._UNREAD_BY_TRAINING.
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from walkforget import protocols  # noqa: E402
+from walkforget.core import ConfigError  # noqa: E402
+
+REUSE_CFG = dict(train_hops=30, trace=True, batch_size=5, unlearn_client=2)
+
+# A valid replacement value for each deny-listed field.
+UNREAD_VALUES = {
+    "p": st.floats(0.0, 1.0),
+    "s": st.integers(1, 50),
+    "unlearn_hops": st.integers(0, 10**6),
+    "sigma": st.one_of(st.none(), st.floats(0.0, 1e6)),
+    "eps": st.floats(1e-3, 1e3),
+    "delta": st.floats(1e-12, 0.5),
+    "mode": st.sampled_from(CorrectionMode),
+    "trust_radius": st.floats(0.0, 1e3),
+    "amp_constant": st.floats(1e-3, 1e3),
+    "cal_constant": st.floats(1e-3, 1e3),
+    "clip": st.floats(0.0, 1e3),
+    "group_edit": st.integers(1, 100),
+}
+
+
+@st.composite
+def _unread_change(draw):
+    name = draw(st.sampled_from(sorted(protocols._UNREAD_BY_TRAINING)))
+    return name, draw(UNREAD_VALUES[name])
+
+
+def test_every_unread_field_has_a_strategy():
+    assert set(UNREAD_VALUES) == set(protocols._UNREAD_BY_TRAINING)
+
+
+@settings(max_examples=40, deadline=None)
+@given(change=_unread_change())
+def test_unread_fields_leave_training_bit_identical(quad_task, change):
+    name, value = change
+    cfg = quad_cfg(**REUSE_CFG)
+    other = cfg.replace(**{name: value})
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    theta = protocols._init_theta(cfg, None)
+    assert protocols._training_key(cfg, objective, datasets, theta, "train") == (
+        protocols._training_key(other, objective, datasets, theta, "train")
+    )
+    assert _result_digest(run_token_training(cfg, objective, datasets)) == _result_digest(
+        run_token_training(other, objective, datasets)
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(seed=124), dict(eta=0.2), dict(train_hops=31), dict(batch_size=6),
+        dict(stepsize_rule="decreasing"), dict(domain_radius=9.0), dict(trace=False),
+        dict(unlearn_client=3), dict(forget_size=9), dict(objective="logistic"),
+    ],
+    ids=lambda c: next(iter(c)),
+)
+def test_read_fields_change_the_key(quad_task, change):
+    cfg = quad_cfg(**REUSE_CFG)
+    assert cfg.trace
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    theta = protocols._init_theta(cfg, None)
+    key = protocols._training_key(cfg, objective, datasets, theta, "train")
+    assert protocols._training_key(
+        cfg.replace(**change), objective, datasets, theta, "train"
+    ) != key
+
+
+def test_other_inputs_change_the_key(quad_task):
+    from walkforget import LogisticObjective
+
+    cfg = quad_cfg(**REUSE_CFG)
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    theta = protocols._init_theta(cfg, None)
+    key = protocols._training_key(cfg, objective, datasets, theta, "train")
+    moved = theta.copy()
+    moved[0] = 1e-300
+    edited = list(datasets)
+    edited[0] = edited[0].with_forget((0,))
+    assert len({
+        key,
+        protocols._training_key(cfg, objective, datasets, theta, "certifier.train"),
+        protocols._training_key(cfg, objective, datasets, moved, "train"),
+        protocols._training_key(cfg, objective, edited, theta, "train"),
+        protocols._training_key(cfg, objective, datasets[::-1], theta, "train"),
+        protocols._training_key(cfg, LogisticObjective(), datasets, theta, "train"),
+    }) == 6
+
+
+def test_dataset_digest_is_cached_and_content_based(quad_task):
+    data = quad_task.datasets[0]
+    assert data.digest is data.digest
+    twin = type(data)(data.features.copy(), data.labels.copy(), data.forget_indices)
+    assert twin is not data and twin.digest == data.digest
+    assert data.with_forget(()).digest != data.digest
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Labels of every protocols._walk call."""
+    labels = []
+    inner = protocols._walk
+
+    def counted(cfg, objective, datasets, theta, hops, label, *rest, **kw):
+        labels.append(label)
+        return inner(cfg, objective, datasets, theta, hops, label, *rest, **kw)
+
+    monkeypatch.setattr(protocols, "_walk", counted)
+    return labels
+
+
+def test_no_reuse_outside_a_scope(quad_task, walks):
+    cfg = quad_cfg(**REUSE_CFG)
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    first = run_token_training(cfg, objective, datasets)
+    second = run_token_training(cfg, objective, datasets)
+    assert walks == ["train", "train"]
+    assert second is not first
+    assert _result_digest(second) == _result_digest(first)
+
+
+def test_scope_reuses_and_still_validates(quad_task, walks):
+    cfg = quad_cfg(**REUSE_CFG)
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    with protocols._training_reuse(2):
+        first = run_token_training(cfg, objective, datasets)
+        assert run_token_training(cfg.replace(p=0.9, sigma=None), objective, datasets) is first
+        with pytest.raises(ConfigError):
+            run_token_training(cfg.replace(p=1.5), objective, datasets)
+    assert walks == ["train"]
+    assert run_token_training(cfg, objective, datasets) is not first
+    assert walks == ["train", "train"]
+
+
+def test_scope_keeps_the_latest_results_only(quad_task, walks):
+    a = quad_cfg(**REUSE_CFG)
+    b = a.replace(seed=124)
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    with protocols._training_reuse(1):
+        for cfg in (a, a, b, a):
+            run_token_training(cfg, objective, datasets)
+    assert walks == ["train"] * 3
