@@ -17,6 +17,7 @@ from .accountant import (
     RdpCurve,
     SensitiveVisitCount,
     baseline_group_sigma,
+    baseline_view_guarantee,
     calibrate_baseline_sigma,
     calibrate_unlearning_sigma,
     group_privacy,

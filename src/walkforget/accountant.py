@@ -5,7 +5,8 @@ bound for token SGD (amplification by decentralization), weak convexity of
 the Renyi divergence for routing mixtures, a Chernoff bound on the number
 of sensitive visits, conversion to (eps, delta), group privacy, and noise
 calibrators for the every-hop-noise baseline and the localized-noise
-unlearning walk.
+unlearning walk. The view reports of both noisy walks come from one
+builder, ``_view_report``.
 
 All accounting is exact arithmetic over a finite grid of Renyi orders; the
 one unknown absolute constant of the view-level bound is an explicit knob
@@ -32,6 +33,7 @@ __all__ = [
     "rdp_to_dp",
     "sensitive_visit_bound",
     "unlearning_view_guarantee",
+    "baseline_view_guarantee",
     "calibrate_baseline_sigma",
     "baseline_group_sigma",
     "calibrate_unlearning_sigma",
@@ -224,6 +226,38 @@ class AccountantReport:
         }
 
 
+def _view_report(inputs: dict, split: dict, per_alpha) -> AccountantReport:
+    """The view report of either noisy walk; ``per_alpha()`` maps each grid order to its RDP.
+
+    The regime is read from the inputs, never from the RDP values (which
+    underflow to 0 once sigma^2 overflows): with no sensitive hop (horizon
+    0, or p = 0) eps is 0 and ``per_alpha`` is not called; with sigma = 0
+    eps is inf; otherwise eps is the best conversion at delta
+    ``split["conversion"]``.
+    """
+    if not 0.0 < inputs["delta"] < 1.0:
+        raise ValueError("delta must lie in (0,1)")
+    chosen, eps = None, 0.0
+    if inputs["horizon"] == 0 or inputs.get("p") == 0.0:
+        rdp = dict.fromkeys(DEFAULT_ALPHA_GRID, 0.0)
+    else:
+        rdp = per_alpha()
+        if inputs["sigma"] == 0.0:
+            eps = math.inf
+        else:
+            guarantee, chosen = rdp_to_dp(RdpCurve(rdp), split["conversion"])
+            eps = guarantee.eps
+    return AccountantReport(
+        inputs=inputs,
+        alpha_grid=DEFAULT_ALPHA_GRID,
+        per_alpha=rdp,
+        chosen_alpha=chosen,
+        eps=eps,
+        delta=inputs["delta"],
+        delta_split=split,
+    )
+
+
 def unlearning_view_guarantee(
     L: float,
     sigma: float,
@@ -232,73 +266,54 @@ def unlearning_view_guarantee(
     n_clients: int,
     delta: float,
     amp_constant: float = 1.0,
-    delta_split=(0.25, 0.25, 0.5),
-    alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> AccountantReport:
     """(eps, delta) on any other client's view for the localized-noise walk.
 
-    Only visits to the unlearning client are sensitive. The delta budget is
-    split (Chernoff tail, per-visit Gaussian tail folded into conversion,
-    conversion) with the default (1/4, 1/4, 1/2). The per-visit view-level
-    RDP is composed over the high-probability visit bound and converted on
-    the alpha grid.
+    Only visits to the unlearning client are sensitive. Of delta, a quarter
+    is spent on the Chernoff bound on those visits and a half on the
+    RDP-to-DP conversion; the remaining quarter (``gaussian_tail``) is
+    reserved and never spent. The per-visit view-level RDP is composed over
+    the high-probability visit bound and converted on the alpha grid.
     """
-    if abs(sum(delta_split) - 1.0) > 1e-12 or any(x <= 0 for x in delta_split):
-        raise ValueError("delta_split must be positive and sum to 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0,1)")
-    inputs = {
-        "L": L,
-        "sigma": sigma,
-        "p": p,
-        "horizon": horizon,
-        "n_clients": n_clients,
-        "delta": delta,
-        "amp_constant": amp_constant,
-    }
-    split = {
-        "chernoff": delta_split[0] * delta,
-        "gaussian_tail": delta_split[1] * delta,
-        "conversion": delta_split[2] * delta,
-    }
-    if p == 0.0 or horizon == 0:
-        return AccountantReport(
-            inputs=inputs,
-            alpha_grid=tuple(alpha_grid),
-            per_alpha={a: 0.0 for a in alpha_grid},
-            chosen_alpha=None,
-            eps=0.0,
-            delta=delta,
-            delta_split=split,
-        )
-    visits = sensitive_visit_bound(horizon, p, split["chernoff"])
-    per_alpha = {
-        alpha: visits.bound
-        * token_view_rdp(alpha, L, sigma, 1.0, n_clients, amp_constant)
-        for alpha in alpha_grid
-    }
-    if sigma == 0.0:
-        # noiseless sensitive steps: the view guarantee is vacuous
-        return AccountantReport(
-            inputs=inputs,
-            alpha_grid=tuple(alpha_grid),
-            per_alpha=per_alpha,
-            chosen_alpha=None,
-            eps=math.inf,
-            delta=delta,
-            delta_split=split,
-        )
-    curve = RdpCurve(per_alpha)
-    guarantee, chosen = rdp_to_dp(curve, split["conversion"])
-    return AccountantReport(
-        inputs=inputs,
-        alpha_grid=tuple(alpha_grid),
-        per_alpha=per_alpha,
-        chosen_alpha=chosen,
-        eps=guarantee.eps,
-        delta=delta,
-        delta_split=split,
-    )
+    inputs = {"L": L, "sigma": sigma, "p": p, "horizon": horizon, "n_clients": n_clients,
+              "delta": delta, "amp_constant": amp_constant}
+    split = {"chernoff": 0.25 * delta, "gaussian_tail": 0.25 * delta, "conversion": 0.5 * delta}
+
+    def per_alpha():
+        visits = sensitive_visit_bound(horizon, p, split["chernoff"])
+        return {
+            alpha: visits.bound
+            * token_view_rdp(alpha, L, sigma, 1.0, n_clients, amp_constant)
+            for alpha in DEFAULT_ALPHA_GRID
+        }
+
+    return _view_report(inputs, split, per_alpha)
+
+
+def baseline_view_guarantee(
+    L: float,
+    sigma: float,
+    horizon: int,
+    n_clients: int,
+    delta: float,
+    amp_constant: float = 1.0,
+) -> AccountantReport:
+    """(eps, delta) on any other client's view for the every-hop-noise baseline.
+
+    Every hop is noisy and each client is credited with its expected share
+    ``horizon / n_clients`` of the hops; all of delta goes to the conversion.
+    """
+    visits = horizon / n_clients
+    inputs = {"L": L, "sigma": sigma, "horizon": horizon, "n_clients": n_clients,
+              "delta": delta, "amp_constant": amp_constant, "expected_visits": visits}
+
+    def per_alpha():
+        return {
+            alpha: token_view_rdp(alpha, L, sigma, visits, n_clients, amp_constant)
+            for alpha in DEFAULT_ALPHA_GRID
+        }
+
+    return _view_report(inputs, {"conversion": delta}, per_alpha)
 
 
 def calibrate_baseline_sigma(eps: float, delta: float, L: float) -> float:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _fmt, _write_csv
+
 __all__ = [
     "CapacityInputs",
     "baseline_capacity",
@@ -162,15 +164,5 @@ def capacity_sweep_rows(points) -> list:
 
 
 def write_capacity_csv(rows, path) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{row[c]:.10g}" if isinstance(row[c], float) else row[c]
-                    for c in _SWEEP_COLUMNS
-                ]
-            )
+    """Write the sweep rows to ``path`` whole or not at all (``core._write_csv``)."""
+    _write_csv(path, _SWEEP_COLUMNS, ([_fmt(row[c]) for c in _SWEEP_COLUMNS] for row in rows))

@@ -256,14 +256,11 @@ def _point_filename(keys, point) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
     sweep = _parse_sweep(args.sweep)
     try:
         seeds = tuple(int(s) for s in args.seeds.split(","))
     except ValueError:
         raise ConfigError([f"--seeds must list integers, got {args.seeds!r}"]) from None
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError([f"--seeds lists a seed more than once: {args.seeds!r}"])
     keys = sorted(sweep)
     points = list(_sweep_points(ExperimentSpec(cfg, sweep, seeds)))
 
@@ -277,8 +274,13 @@ def _cmd_sweep(args) -> int:
     # one result file per sweep point, each written as soon as its point
     # finishes (rows in --seeds order); existing files are trusted and skipped
     todo = [point for point, f in zip(points, files) if not os.path.exists(f)]
-    _run_sweep(cfg, keys, todo, seeds,
-               on_point=lambda point, rows: rows_to_csv(rows, keys, path(point)))
+
+    def write_point(point, rows):
+        # --out appears only once the driver has validated every config
+        os.makedirs(args.out, exist_ok=True)
+        rows_to_csv(rows, keys, path(point))
+
+    _run_sweep(cfg, keys, todo, seeds, on_point=write_point)
     all_rows = []
     for f in files:
         with open(f, "r", encoding="utf-8") as fh:

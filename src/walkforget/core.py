@@ -1,4 +1,5 @@
-"""Shared domain types, run configuration, and the seeded randomness contract.
+"""Shared domain types, run configuration, the seeded randomness contract,
+and the atomic CSV writer every CSV output goes through.
 
 Every source of randomness in a run is a labeled substream of a single
 64-bit seed, so routing, minibatch sampling, and Gaussian noise can be
@@ -7,8 +8,10 @@ replayed independently and bit-exactly.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
@@ -257,8 +260,6 @@ class RunConfig:
     eps: float = 1.0
     delta: float = 1e-5
     grad_bound: float = 1.0
-    mu: float = 0.0
-    gamma: float = 0.1
     unlearn_client: int = 1
     mode: CorrectionMode = CorrectionMode.EXACT
     seed: int = 0
@@ -319,10 +320,6 @@ def config_violations(cfg: RunConfig) -> list:
         bad.append("delta must lie in (0,1)")
     if not (_finite(cfg.grad_bound) and cfg.grad_bound > 0):
         bad.append("grad_bound must be > 0")
-    if not (_finite(cfg.mu) and cfg.mu >= 0):
-        bad.append("mu must be >= 0")
-    if not (_finite(cfg.gamma) and cfg.gamma > 0):
-        bad.append("gamma must be > 0")
     if not (
         isinstance(cfg.unlearn_client, int)
         and 1 <= cfg.unlearn_client <= cfg.n_clients
@@ -460,3 +457,31 @@ def config_from_text(text: str, overrides: dict | None = None) -> RunConfig:
 def config_from_file(path, overrides: dict | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_text(fh.read(), overrides)
+
+
+def _fmt(value) -> str:
+    """One CSV cell: empty for None, floats to 10 significant digits."""
+    if value is None:
+        return ""
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and the cell lists in ``rows`` to ``path`` whole or not at all.
+
+    They go to a hidden temporary file in the same directory, which then
+    replaces ``path``; a write cut short, also while ``rows`` is still being
+    produced, leaves no partial ``path`` behind.
+    """
+    folder, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(folder, f".{name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

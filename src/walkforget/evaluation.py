@@ -9,9 +9,7 @@ before unlearning, after unlearning, and for the retrain certifier.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -19,9 +17,12 @@ import numpy as np
 
 from .core import (
     ClientDataset,
+    ConfigError,
     CorrectionMode,
     RunConfig,
     _bounded_get,
+    _fmt,
+    _write_csv,
     substream,
     validate_config,
 )
@@ -304,16 +305,22 @@ def _run_sweep(base: RunConfig, keys, points, seeds, on_point=None) -> list:
     (``protocols._training_reuse``). At most ``len(seeds)`` tasks and
     ``2 * len(seeds)`` training results (train and certifier) are kept, so
     a sweep over a data field evicts instead of piling them up.
-    ``on_point(point, rows)`` is called as each point finishes.
+    ``on_point(point, rows)`` is called as each point finishes. Every
+    point's config is validated, and the seeds checked for repeats, before
+    the first point runs, so a bad value is a ``ConfigError`` that costs no
+    work.
     """
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError([f"seeds list a seed more than once: {tuple(seeds)}"])
+    points = list(points)
+    configs = [[validate_config(base.replace(seed=seed, **point)) for seed in seeds]
+               for point in points]
     tasks = OrderedDict()
     out = []
     with _training_reuse(2 * len(seeds)):
-        for point in points:
+        for point, point_configs in zip(points, configs):
             rows = []
-            for seed in seeds:
-                # validated before make_task, so a bad value is a ConfigError
-                cfg = validate_config(base.replace(seed=seed, **point))
+            for seed, cfg in zip(seeds, point_configs):
                 task_key = tuple(getattr(cfg, name) for name in _TASK_FIELDS)
                 task = _bounded_get(tasks, task_key, len(seeds), lambda: make_task(cfg))
                 for row in run_point(cfg, task):
@@ -340,36 +347,10 @@ def _sort_rows(rows, keys) -> list:
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.10g}"
-    return str(value)
-
-
 def rows_to_csv(rows, sweep_keys, path) -> None:
-    """Write the rows to ``path`` whole or not at all.
-
-    They go to a hidden temporary file in the same directory, which then
-    replaces ``path``; a write cut short leaves no partial ``path`` behind.
-    """
+    """Write the rows to ``path`` whole or not at all (``core._write_csv``)."""
     header = tuple(sweep_keys) + EXPERIMENT_CSV_HEADER
-    folder, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(folder, f".{name}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row.get(col)) for col in header])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_csv(path, header, ([_fmt(row.get(col)) for col in header] for row in rows))
 
 
 def _retained_minimizer(objective, data: ClientDataset) -> np.ndarray:

@@ -34,14 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import (
-    DEFAULT_ALPHA_GRID,
     AccountantReport,
-    RdpCurve,
     baseline_group_sigma,
+    baseline_view_guarantee,
     calibrate_unlearning_sigma,
     group_privacy,
-    rdp_to_dp,
-    token_view_rdp,
     unlearning_view_guarantee,
 )
 from .core import (
@@ -271,43 +268,14 @@ def _train(cfg: RunConfig, objective, datasets, theta: np.ndarray, label: str) -
 
 
 def _baseline_record(cfg: RunConfig, sigma: float) -> PrivacyRecord:
-    # Per-view RDP with each client contributing its expected share of hops,
-    # then the group transform for the configured edit distance.
-    expected_visits = cfg.train_hops / cfg.n_clients
-    per_alpha = {
-        alpha: token_view_rdp(
-            alpha, cfg.grad_bound, sigma, expected_visits, cfg.n_clients, cfg.amp_constant
-        )
-        for alpha in DEFAULT_ALPHA_GRID
-    }
-    if sigma == 0.0 or cfg.train_hops == 0:
-        eps0 = 0.0 if cfg.train_hops == 0 else math.inf
-        chosen = None
-    else:
-        guarantee, chosen = rdp_to_dp(RdpCurve(per_alpha), cfg.delta)
-        eps0 = guarantee.eps
-    view = AccountantReport(
-        inputs={
-            "L": cfg.grad_bound,
-            "sigma": sigma,
-            "horizon": cfg.train_hops,
-            "n_clients": cfg.n_clients,
-            "delta": cfg.delta,
-            "amp_constant": cfg.amp_constant,
-            "expected_visits": expected_visits,
-        },
-        alpha_grid=tuple(per_alpha),
-        per_alpha=per_alpha,
-        chosen_alpha=chosen,
-        eps=eps0,
-        delta=cfg.delta,
-        delta_split={"conversion": cfg.delta},
+    """The baseline's view report plus the group transform for ``group_edit``."""
+    view = baseline_view_guarantee(
+        cfg.grad_bound, sigma, cfg.train_hops, cfg.n_clients, cfg.delta, cfg.amp_constant
     )
-    if cfg.group_edit > 1 and math.isfinite(eps0):
-        grp = group_privacy(eps0, cfg.delta, cfg.group_edit, cfg.delta)
+    group_eps, group_delta = view.eps, cfg.delta
+    if cfg.group_edit > 1 and math.isfinite(view.eps):
+        grp = group_privacy(view.eps, cfg.delta, cfg.group_edit, cfg.delta)
         group_eps, group_delta = grp.eps, grp.delta
-    else:
-        group_eps, group_delta = eps0, cfg.delta
     return PrivacyRecord(
         sigma=sigma,
         view=view,

@@ -212,7 +212,7 @@ def test_criterion_06_geometric_mixing():
 
 QUAD_SCAN = dict(
     n_clients=10, dim=5, train_hops=200, p=0.1, s=4, eta=0.1,
-    stepsize_rule="decreasing", eps=30.0, delta=1e-5, grad_bound=6.0, mu=1.0,
+    stepsize_rule="decreasing", eps=30.0, delta=1e-5, grad_bound=6.0,
     unlearn_client=1, mode=CorrectionMode.EXACT, domain="ball",
     domain_radius=4.0, trust_radius=0.6, objective="quadratic",
     local_size=50, forget_size=10, batch_size=0, cal_constant=4.0,

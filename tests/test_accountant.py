@@ -192,6 +192,14 @@ class TestUnlearningViewGuarantee:
         report = unlearning_view_guarantee(1.0, 0.0, 0.1, 100, 10, 1e-5)
         assert math.isinf(report.eps)
 
+    def test_huge_sigma_still_converts(self):
+        # sigma^2 overflows, so every per-order RDP underflows to 0; the
+        # walk still has sensitive hops and the conversion term remains
+        report = unlearning_view_guarantee(1, 1e200, 0.1, 100, 10, 1e-5)
+        assert set(report.per_alpha.values()) == {0.0}
+        assert report.chosen_alpha == 256.0
+        assert report.eps == pytest.approx(math.log(2e5) / 255.0, rel=1e-15)
+
     def test_serializable(self):
         import json
 

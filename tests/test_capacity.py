@@ -163,6 +163,27 @@ class TestCapacitySweepCsv:
         assert parsed[0]["gamma"] == "0.05"
         assert {"nonbias", "opt_term", "priv_term", "m_star"} <= set(parsed[0])
 
+    def test_cut_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        import os
+
+        from walkforget import capacity, capacity_sweep_rows, write_capacity_csv
+
+        path = tmp_path / "caps.csv"
+        path.write_text("old\n")
+        fmt, cells = capacity._fmt, []
+
+        def failing(value):
+            cells.append(value)
+            if len(cells) == 20:
+                raise OSError("disk full")
+            return fmt(value)
+
+        monkeypatch.setattr(capacity, "_fmt", failing)
+        with pytest.raises(OSError):
+            write_capacity_csv(capacity_sweep_rows([BASE, BASE]), path)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["caps.csv"]
+
 
 class TestUnlearningCapacity:
     def test_regime_boundary_zero(self):

@@ -132,7 +132,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "spec",
         ["foo=1,2", "seed=1,2", "n_clients=3.5", "mode=exact", "trace=0,1",
-         "sigma=auto", "p=0.1,", "p"],
+         "sigma=auto", "p=0.1,", "p", "mu=0.5", "gamma=0.1,0.2", "p=0.1,1.5"],
     )
     def test_bad_sweep_key_or_value_is_config_error(self, tmp_path, capsys, spec):
         cfg = write_cfg(tmp_path)
@@ -140,7 +140,16 @@ class TestExitCodes:
         code = main(["sweep", "--config", cfg, "--out", str(out), "--sweep", spec])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: config:")
-        assert not [f for f in os.listdir(out) if f.startswith("point_")]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["mu", "gamma"])
+    def test_removed_config_key_is_config_error(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path)
+        with open(cfg, "a") as fh:
+            fh.write(f"{key}=0.5\n")
+        code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seeds", ["1,x", "", "1,,2", "1,", "1.5", "0x1"])
     def test_bad_seeds_is_config_error(self, tmp_path, capsys, seeds):
@@ -150,7 +159,7 @@ class TestExitCodes:
                      "--seeds", seeds])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: config: --seeds")
-        assert not [f for f in os.listdir(out) if f.startswith("point_")]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "sweep,seeds",
@@ -164,7 +173,7 @@ class TestExitCodes:
                      "--seeds", seeds])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: config:")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_sweep_has_no_seed_option(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -143,6 +143,19 @@ class TestExperimentDriver:
         assert post["epsilon_achieved"] <= 2.0
         assert post["sigma_used"] > 0
 
+    @pytest.mark.parametrize(
+        "sweep,seeds", [({"p": (0.25,)}, (0, 0)), ({"p": (0.1, 1.5)}, (0,))]
+    )
+    def test_bad_sweep_raises_before_any_point(self, monkeypatch, sweep, seeds):
+        from walkforget import ConfigError, evaluation
+
+        ran = []
+        monkeypatch.setattr(evaluation, "run_point", lambda cfg, task=None: ran.append(cfg))
+        spec = ExperimentSpec(base=_tiny_cfg(), sweep=sweep, seeds=seeds)
+        with pytest.raises(ConfigError):
+            run_unlearning_experiment(spec)
+        assert ran == []
+
 
 class TestCertifierProximity:
     def test_unlearning_moves_toward_certifier(self):
@@ -186,7 +199,7 @@ class TestTwoRegimeCrossCheck:
         cfg0 = RunConfig(
             n_clients=10, dim=5, train_hops=200, unlearn_hops=400, p=0.1, s=4,
             eta=0.1, stepsize_rule="decreasing", sigma=None, eps=30.0,
-            delta=1e-5, grad_bound=6.0, mu=1.0, unlearn_client=1,
+            delta=1e-5, grad_bound=6.0, unlearn_client=1,
             mode=CorrectionMode.EXACT, domain="ball", domain_radius=4.0,
             trust_radius=0.6, objective="quadratic", local_size=50,
             batch_size=0, cal_constant=4.0,

@@ -38,7 +38,6 @@ def quad_cfg(**kw) -> RunConfig:
         eps=1.0,
         delta=1e-5,
         grad_bound=4.0,
-        gamma=0.1,
         unlearn_client=1,
         mode=CorrectionMode.EXACT,
         seed=123,
@@ -462,6 +461,82 @@ def test_golden_outputs(case, monkeypatch):
     assert two_ball or cfg.domain == "full"
     assert not any(two_ball), "a golden case reached the two-ball branch"
     assert got == GOLDEN[case]
+
+
+# Accounting regimes. The golden cases above only reach the (eps, delta)
+# conversion; these pin the privacy record of the private baseline and of
+# the unlearning walk when no hop is sensitive (eps 0), when the walk is
+# noiseless (eps inf, and no group transform), and when sigma^2 overflows
+# (the per-order RDP underflows to 0, yet the conversion still applies).
+# Values are (baseline eps, unlearning eps, sha256 of the baseline record,
+# sha256 of the unlearning record), recorded before the accounting moved
+# into one report builder.
+
+REGIME_BASE = dict(
+    n_clients=4, dim=3, train_hops=12, unlearn_hops=10, p=0.3, local_size=12,
+    forget_size=2, test_size=10, objective="quadratic", unlearn_client=2, seed=4,
+)
+
+REGIMES = {
+    "train_hops=0": (dict(train_hops=0), (
+        0.0, 0.972803588092406,
+        "6b324c4f309a69c53318c43988061f8a60c37dc275a2786edd44eb7d5ef22a20",
+        "181ceaa20ff873833c08d0fa819a77ebb9d457173b86430f26ef2cff0e5e3253")),
+    "unlearn_hops=0": (dict(unlearn_hops=0), (
+        0.7257523326895103, 0.0,
+        "35372ee04bc6b1be9eb86a5ba131de1640603f92c38cea3b1fbf0c04e2398164",
+        "9992914d7ce3dda63b9060a9e07b64d38ffd9bbdc05e2a7341cdff4b4a1e3a7c")),
+    "p=0": (dict(p=0.0), (
+        0.7257523326895103, 0.0,
+        "35372ee04bc6b1be9eb86a5ba131de1640603f92c38cea3b1fbf0c04e2398164",
+        "9992914d7ce3dda63b9060a9e07b64d38ffd9bbdc05e2a7341cdff4b4a1e3a7c")),
+    "p=0-sigma=0.3": (dict(p=0.0, sigma=0.3), (
+        34.61783148363507, 0.0,
+        "f81d7833086db9b5686df4703e49a7a19fe1d77c27b4504df526d13cde7c175f",
+        "b4e3053a40f6fe51096397ee74f77a372a832c87efc7fbb36c9bac4f98d2e172")),
+    "unlearn_hops=0-sigma=0.3": (dict(unlearn_hops=0, sigma=0.3), (
+        34.61783148363507, 0.0,
+        "f81d7833086db9b5686df4703e49a7a19fe1d77c27b4504df526d13cde7c175f",
+        "f052cf2ff54ede98cfaf4ca5957139a41531d311cee694160e9155ee020ef879")),
+    "no-hops-sigma=0": (dict(train_hops=0, unlearn_hops=0, sigma=0.0), (
+        0.0, 0.0,
+        "70c681f87a026511df215cd53a5a350a6feda5a16ab2b3a2f4efaa93f18e4280",
+        "2f61d868c69d90a7544632e1dca2aab597ec641333d7b833e0abdbcaa6d09384")),
+    "sigma=0-edit=1": (dict(sigma=0.0), (
+        math.inf, math.inf,
+        "14a357c40668aa48ed8d8ff71f4da96bcd98878b677b5d8dc26ff22664419e7c",
+        "d32b2041db9224c6aed480d42fc13beecc6d10e8443d3f5c47544849c139796b")),
+    "sigma=0-edit=2": (dict(sigma=0.0, group_edit=2), (
+        math.inf, math.inf,
+        "4fa2ab236a12ee8f085ec7990b744ec2d7850cff5bb1134d7993375a98ef3fb8",
+        "d32b2041db9224c6aed480d42fc13beecc6d10e8443d3f5c47544849c139796b")),
+    "sigma=0.4-edit=2": (dict(sigma=0.4, group_edit=2), (
+        24.509435100469197, 55.52777143052674,
+        "15d6e4aa5c3c8fad81140ff7a8241d87ec9f2138ee3f1b67d18b35b957d52077",
+        "e35abcf39854e905c04e01bec972db7b6eb1f071ec4d8908fbb436c2a1d82f2c")),
+    "sigma=1e200": (dict(sigma=1e200), (
+        0.04514872731360874, 0.04786695155109872,
+        "17b0515765206bb9476cb144aae1b99a0b4194bf20cfd9939add207486cd0d57",
+        "f630ca443dc82c4efd2fd0d3342906b8e3718ab88d50e88b5d798b128ed053df")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGIMES))
+def test_accounting_regimes(case):
+    from walkforget import make_task
+
+    change, expected = REGIMES[case]
+    cfg = RunConfig(**{**REGIME_BASE, **change})
+    task = make_task(cfg)
+    datasets = list(task.datasets)
+    # sigma=1e200 noise overflows the iterates; only the records matter here
+    with np.errstate(over="ignore", invalid="ignore"):
+        baseline = run_private_baseline(cfg, task.objective, datasets).report.to_dict()
+        unlearn = run_unlearning(
+            cfg, task.objective, datasets, np.zeros(cfg.dim)
+        ).report.to_dict()
+    got = (baseline["view"]["eps"], unlearn["view"]["eps"], _sha(baseline), _sha(unlearn))
+    assert got == expected
 
 
 # Training reuse. Inside protocols._training_reuse, a training call whose key
