@@ -688,3 +688,57 @@ def test_scope_keeps_the_latest_results_only(quad_task, walks):
         for cfg in (a, a, b, a):
             run_token_training(cfg, objective, datasets)
     assert walks == ["train"] * 3
+
+
+# The two-ball path. The golden cases above never reach the two-ball
+# projection, which the point-boundary benchmark takes about 200 times per
+# point. This case is a scaled-down point-boundary: lightweight mode, trust
+# radius 0.4 and a domain ball small enough that training ends on its
+# sphere. Its digests were recorded before the walk drew its schedule up
+# front, and pin the same artifacts as the golden cases.
+
+TWO_BALL_CFG = dict(
+    n_clients=4, dim=5, train_hops=60, unlearn_hops=60, p=0.3, s=2, eta=0.5,
+    unlearn_client=2, domain_radius=1.0, trust_radius=0.4, local_size=30,
+    forget_size=6, test_size=40, trace=True, objective="logistic", batch_size=5,
+    mode=CorrectionMode.LIGHTWEIGHT, sigma=None, seed=11,
+)
+
+GOLDEN_TWO_BALL = {
+    "train": "119a92127ed00cc1ed1c285c6823e1ba7e2f1eab28e46705832af97514b9e916",
+    "unlearn": "c6f5ab15c6142180d2e2fa61e6f9dfd1572e977f2c73301e9008bcf3d1cc8f56",
+    "certifier": "5b085fea8a52e6475d7c70c1454569c6793d8a5d45df46750c4f51b52d548c52",
+    "run_point": "b249c31e392205a8d2aec754c6d109524be47e88d0ce35eb54dac3d1f4ca51b9",
+}
+
+
+def test_golden_two_ball_outputs(monkeypatch):
+    from walkforget import make_task, optimizer, run_point
+
+    two_ball = []
+    inner = optimizer.project
+
+    def watched(theta, region):
+        if region.kind == "ball" and region.trust_center is not None:
+            two_ball.append(_is_two_ball(np.asarray(theta, dtype=np.float64), region))
+        return inner(theta, region)
+
+    monkeypatch.setattr(optimizer, "project", watched)
+    cfg = RunConfig(**TWO_BALL_CFG)
+    task = make_task(cfg)
+    objective, datasets = task.objective, list(task.datasets)
+    trained = run_token_training(cfg, objective, datasets)
+    assert np.linalg.norm(trained.final.params) == pytest.approx(cfg.domain_radius)
+    got = {"train": _result_digest(trained)}
+    reached = []  # two-ball projections per phase
+    for phase, run in (
+        ("unlearn", lambda: _result_digest(run_unlearning(
+            cfg, objective, datasets, trained.final, theta_ref=trained.final.params))),
+        ("certifier", lambda: _result_digest(run_certifier(cfg, objective, datasets))),
+        ("run_point", lambda: _sha(run_point(cfg, task))),
+    ):
+        before = sum(two_ball)
+        got[phase] = run()
+        reached.append(sum(two_ball) - before)
+    assert min(reached) > 0, f"a phase did not reach the two-ball branch: {reached}"
+    assert got == GOLDEN_TWO_BALL
