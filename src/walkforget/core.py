@@ -68,6 +68,23 @@ def params_hash(params: np.ndarray) -> str:
     return hashlib.sha256(buf).hexdigest()[:16]
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 vector, bit for bit ``np.linalg.norm``'s.
+
+    That is ``sqrt(x @ x)``, less numpy's dispatch. ``x @ x`` overflows to
+    inf once entries pass about 1e154; only then is x rescaled by its
+    largest entry, so every finite ``x @ x`` keeps its bits.
+    """
+    sq = x @ x
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    top = float(np.max(np.abs(x)))
+    if not 0.0 < top < math.inf:  # an inf or NaN entry: the norm is inf or NaN
+        return math.sqrt(sq)
+    y = x / top
+    return top * math.sqrt(y @ y)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Complete communication graph over clients 1..num_clients.
@@ -165,12 +182,11 @@ class FeasibleRegion:
         )
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        ok = True
-        if self.kind == "ball":
-            ok = ok and np.linalg.norm(x - self.center) <= self.radius + tol
-        if self.trust_center is not None:
-            ok = ok and np.linalg.norm(x - self.trust_center) <= self.trust_radius + tol
-        return bool(ok)
+        if self.kind == "ball" and not _norm(x - self.center) <= self.radius + tol:
+            return False
+        return self.trust_center is None or (
+            _norm(x - self.trust_center) <= self.trust_radius + tol
+        )
 
 
 @dataclass(frozen=True)

@@ -73,19 +73,21 @@ class QuadraticObjective:
         return float(self.mean_losses(theta, feats, labels))
 
     def batch_grad(self, theta, feats, labels) -> np.ndarray:
-        return theta - feats.mean(axis=0)
+        # np.add.reduce / n is what .mean(axis=0) computes, less its dispatch
+        return theta - np.add.reduce(feats, axis=0) / feats.shape[0]
 
     def example_grad_norms(self, theta, feats, labels) -> np.ndarray:
         return np.linalg.norm(theta[None, :] - feats, axis=1)
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-t)), stably: e / (1 + e) with e = exp(t) where t < 0.
+
+    One unmasked pass; each entry is the same quotient of the same two
+    doubles as in the masked two-branch form, so the bits do not change.
+    """
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class LogisticObjective:
     def batch_grad(self, theta, feats, labels) -> np.ndarray:
         margins = labels * (feats @ theta)
         w = _sigmoid(-margins)  # in (0,1)
-        return -(feats * (labels * w)[:, None]).mean(axis=0)
+        return -(np.add.reduce(feats * (labels * w)[:, None], axis=0) / feats.shape[0])
 
     def example_grad_norms(self, theta, feats, labels) -> np.ndarray:
         margins = labels * (feats @ theta)
@@ -147,6 +149,13 @@ def _subset_arrays(data: ClientDataset, subset: str):
         idx = list(data.forget_indices)
         return data.features[idx], data.labels[idx]
     raise ValueError(f"unknown subset {subset!r}")
+
+
+def _rows_grad(objective, data: ClientDataset, theta: np.ndarray, rows=None) -> np.ndarray:
+    """Average gradient over the client's examples ``rows`` (all of them when None)."""
+    if rows is None:
+        return objective.batch_grad(theta, data.features, data.labels)
+    return objective.batch_grad(theta, data.features[rows], data.labels[rows])
 
 
 def grad_local(objective, data: ClientDataset, theta: np.ndarray, subset: str = "full") -> np.ndarray:
@@ -201,24 +210,35 @@ def corrective_gradient(
     over a uniformly sampled forget minibatch, an unbiased estimator of
     (m/n_u) * grad of the forget loss.
     """
+    pick = None
     if mode is CorrectionMode.EXACT:
         if data.m == data.n_u:
             raise ValueError("retained set empty")
-        subset = "full" if data.m == 0 else "retained"
-        return -grad_local(objective, data, theta, subset)
-    if mode is CorrectionMode.LIGHTWEIGHT:
+    elif mode is CorrectionMode.LIGHTWEIGHT:
         if data.m == 0:
             raise ValueError("lightweight correction needs a nonempty forget set")
-        idx = np.array(data.forget_indices)
         if batch_size and batch_size > 0:
             if rng is None:
                 raise ValueError("minibatch sampling needs an rng")
-            pick = idx[rng.integers(0, len(idx), size=batch_size)]
-        else:
-            pick = idx
-        g = objective.batch_grad(theta, data.features[pick], data.labels[pick])
-        return (data.m / data.n_u) * g
-    raise ValueError(f"unknown mode {mode!r}")
+            pick = rng.integers(0, data.m, size=batch_size)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _correction(objective, data, mode)(theta, pick)
+
+
+def _correction(objective, data: ClientDataset, mode: CorrectionMode):
+    """``corrective_gradient`` as ``(theta, pick) -> direction``, rows taken once.
+
+    ``pick`` indexes the forget set (a LIGHTWEIGHT minibatch), or is None
+    for the whole forget set; EXACT ignores it. A walk builds one per walk.
+    """
+    if mode is CorrectionMode.EXACT:
+        feats, labels = _subset_arrays(data, "full" if data.m == 0 else "retained")
+        return lambda theta, pick: -objective.batch_grad(theta, feats, labels)
+    forget, weight = np.array(data.forget_indices), data.m / data.n_u
+    return lambda theta, pick: weight * _rows_grad(
+        objective, data, theta, forget if pick is None else forget[pick]
+    )
 
 
 def closed_form_optimum(objective, datasets, exclude_forget: bool = False) -> np.ndarray:

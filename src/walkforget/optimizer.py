@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibleRegion
+from .core import FeasibleRegion, _norm
+from .objectives import _rows_grad
 
 __all__ = [
     "StepSpec",
@@ -28,7 +29,7 @@ __all__ = [
 
 def _project_ball(x: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     diff = x - center
-    norm = float(np.linalg.norm(diff))
+    norm = _norm(diff)
     if norm <= radius:
         return x
     if radius == 0.0:
@@ -42,7 +43,7 @@ def _project_two_balls(x, c1, r1, c2, r2):
     # where the two boundary spheres meet (centre mid on the axis c1->c2,
     # radius rho), and is that sphere's nearest point to x. O(d), exact.
     axis = c2 - c1
-    dist = float(np.linalg.norm(axis))
+    dist = _norm(axis)
     u = axis / dist
     a = 0.5 * (dist + (r1 - r2) * (r1 + r2) / dist)  # signed c1-to-mid distance
     rho_sq = (r1 - a) * (r1 + a)
@@ -51,7 +52,7 @@ def _project_two_balls(x, c1, r1, c2, r2):
     mid = c1 + a * u
     w = x - mid
     w = w - float(w @ u) * u
-    norm_w = float(np.linalg.norm(w))
+    norm_w = _norm(w)
     # x on the axis happens only when the spheres touch in a single point
     if norm_w == 0.0:
         return mid
@@ -72,10 +73,10 @@ def project(theta: np.ndarray, region: FeasibleRegion) -> np.ndarray:
     # Intersection. If one ball's projection lies in the other ball it is
     # the answer; otherwise both constraints are active.
     cand = _project_ball(x, region.trust_center, region.trust_radius)
-    if np.linalg.norm(cand - region.center) <= region.radius:
+    if _norm(cand - region.center) <= region.radius:
         return cand.copy()
     cand = _project_ball(x, region.center, region.radius)
-    if np.linalg.norm(cand - region.trust_center) <= region.trust_radius:
+    if _norm(cand - region.trust_center) <= region.trust_radius:
         return cand.copy()
     return _project_two_balls(
         x, region.center, region.radius, region.trust_center, region.trust_radius
@@ -101,13 +102,12 @@ def averaged_gradient(
     if data.n_u == 0:
         raise ValueError("empty dataset")
     if not batch_size:
-        return objective.batch_grad(theta, data.features, data.labels)
+        return _rows_grad(objective, data, theta)
     if rng is None:
         raise ValueError("minibatch sampling needs an rng")
     # equal-size i.i.d. minibatches: the mean of the s minibatch means equals
     # the mean over all s*batch_size sampled examples, so draw them at once
-    pick = rng.integers(0, data.n_u, size=s * batch_size)
-    return objective.batch_grad(theta, data.features[pick], data.labels[pick])
+    return _rows_grad(objective, data, theta, rng.integers(0, data.n_u, size=s * batch_size))
 
 
 @dataclass(frozen=True)
@@ -133,21 +133,30 @@ def noisy_projected_step(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """theta -> project(theta -+ eta * (grad + Z)), Z ~ N(0, sigma^2 I)."""
+    move = grad
     if spec.sigma > 0:
         if rng is None:
             raise ValueError("noisy step needs an rng")
-        noise = rng.standard_normal(theta.shape[0]) * spec.sigma
-        move = grad + noise
-    else:
-        move = grad
-    sign = 1.0 if spec.ascent else -1.0
-    new = project(theta + sign * spec.eta * move, spec.region)
+        move = grad + rng.standard_normal(theta.shape[0]) * spec.sigma
+    return _projected_step(theta, move, spec.eta, spec.region, spec.ascent)
+
+
+def _projected_step(theta, move, eta, region, ascent=False):
+    """project(theta -+ eta * move): the hop kernel of the noisy and projected walks.
+
+    ``move`` is the gradient plus the hop's noise row, if it has one. A walk
+    passes each hop's stepsize from its schedule, which is why this takes
+    ``eta`` and not a ``StepSpec``.
+    """
+    if not eta > 0:
+        raise ValueError("stepsize must be positive")
+    sign = 1.0 if ascent else -1.0
+    new = project(theta + sign * eta * move, region)
     if __debug__:
         # non-expansive projection: from a feasible point the hop never
         # exceeds the raw move
-        assert not spec.region.contains(theta) or (
-            np.linalg.norm(new - theta)
-            <= spec.eta * np.linalg.norm(move) + 1e-9
+        assert not region.contains(theta) or (
+            _norm(new - theta) <= eta * _norm(move) + 1e-9
         )
     return new
 
@@ -177,11 +186,27 @@ def stepsize(rule: str, t: int, eta: float, L: float, r_dom: float, G: float) ->
     raise ValueError(f"unknown stepsize rule {rule!r}")
 
 
+def _stepsizes(rule: str, hops: range, eta: float, L: float, r_dom: float, G: float) -> list:
+    """``stepsize`` at each hop of ``hops``, bit for bit, in one numpy pass.
+
+    ``np.where(x < a, x, a)`` is Python's ``min(a, x)``, NaN included.
+    """
+    if rule == "constant":
+        return [eta] * len(hops)
+    if rule == "decreasing":
+        if hops and hops[0] < 1:
+            raise ValueError("hop index starts at 1")
+        cap = 1.0 / L
+        x = r_dom / (G * np.sqrt(np.arange(hops.start, hops.stop)))
+        return np.where(x < cap, x, cap).tolist()
+    raise ValueError(f"unknown stepsize rule {rule!r}")
+
+
 def clip_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     """Rescale to norm <= threshold; no-op when threshold is 0."""
     if threshold <= 0:
         return grad
-    norm = float(np.linalg.norm(grad))
+    norm = _norm(grad)
     if norm <= threshold:
         return grad
     return grad * (threshold / norm)

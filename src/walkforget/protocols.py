@@ -1,7 +1,9 @@
 """End-to-end protocol runners producing (model, transcript, privacy record).
 
-All three protocols are one walk, ``_walk``: pick the next holder, update
-the model there, log the hop. A runner supplies only the routing law and
+All three protocols are one walk, ``_walk``: take the next hop's holder,
+minibatch, noise and stepsize from the walk's schedule (``_schedule``,
+drawn a block of hops at a time), update the model there, log the hop. A
+runner supplies only the routing law, what each client's hop draws, and
 the step rule:
 
 * token training: uniform edge walk, noiseless descent, optional domain
@@ -30,6 +32,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,24 +49,22 @@ from .core import (
     ClientDataset,
     CorrectionMode,
     FeasibleRegion,
-    Graph,
     ModelState,
     RunConfig,
     _bounded_get,
+    _norm,
     params_hash,
     substream,
     validate_config,
 )
-from .network import Message, Transcript, route_restart, route_uniform
-from .objectives import corrective_gradient, local_loss, loss_panel
+from .network import Message, Transcript, route_restart_block, route_uniform_block
+from .objectives import _correction, _rows_grad, local_loss, loss_panel
 from .optimizer import (
-    StepSpec,
-    averaged_gradient,
+    _projected_step,
+    _stepsizes,
     clip_gradient,
     effective_variance_bound,
-    noisy_projected_step,
     project,
-    stepsize,
 )
 
 __all__ = [
@@ -132,54 +134,119 @@ def _trace_row(objective, retained_loss, data_u, t, client, theta, at_target):
     forget = (
         local_loss(objective, data_u, theta, "forget") if data_u.m > 0 else math.nan
     )
-    return (t, client, retained, forget, float(np.linalg.norm(theta)), at_target)
+    return (t, client, retained, forget, _norm(theta), at_target)
 
 
-def _client_gradient(objective, datasets, cfg, client, theta, s, batching):
+def _client_gradient(objective, datasets, client, theta, pick):
+    """The holder's average gradient over its minibatch ``pick`` (None: full batch)."""
     data = datasets[client - 1]
     if data.n_u == 0:
         raise ValueError(f"client {client} has an empty dataset")
-    return averaged_gradient(objective, data, theta, s, cfg.batch_size or None, batching)
+    return _rows_grad(objective, data, theta, pick)
 
 
-def _descent_step(cfg, objective, datasets, region, sigma, s, clip=0.0):
-    """Projected descent on the holder's s-averaged gradient plus N(0, sigma^2 I)."""
+def _descent_step(objective, datasets, region, clip=0.0):
+    """Projected descent on the holder's minibatch gradient plus its noise row."""
 
-    def step(client, theta, eta, batching, noise):
-        grad = _client_gradient(objective, datasets, cfg, client, theta, s, batching)
-        spec = StepSpec(eta=eta, sigma=sigma, region=region, ascent=False)
-        return noisy_projected_step(theta, clip_gradient(grad, clip), spec, noise)
+    def step(client, theta, eta, pick, noise):
+        grad = clip_gradient(_client_gradient(objective, datasets, client, theta, pick), clip)
+        return _projected_step(theta, grad if noise is None else grad + noise, eta, region)
 
     return step
 
 
-def _walk(cfg, objective, datasets, theta, hops, label, route, step, r_dom, G, report=None):
-    """The hop loop of every protocol: route, step, log.
+def _draws(datasets, batch: int, sigma: float = 0.0):
+    """Per-client draw table ``(highs, sizes, scales)``, indexed by client (0 unused).
 
-    Routing, minibatch and noise draws come from the ``<label>.routing``,
-    ``.batch`` and ``.noise`` substreams. ``route(prev, rng)`` names the
-    next holder and ``step(client, theta, eta, batching, noise)`` returns
-    the model after that holder's update at stepsize ``eta``.
+    A hop at client c samples ``sizes[c]`` minibatch indices below
+    ``highs[c]`` (a full batch when 0) and, when ``scales[c] > 0``, a noise
+    row N(0, scales[c]^2 I). An empty client draws nothing; its step raises.
+    A full-batch table (``batch`` 0) reads no dataset.
     """
+    highs = np.zeros(len(datasets) + 1, dtype=np.int64)
+    sizes = np.zeros_like(highs)
+    if batch:
+        highs[1:] = n_u = [data.n_u for data in datasets]
+        sizes[1:] = [batch if n else 0 for n in n_u]
+    return highs, sizes, np.full(len(highs), float(sigma))
+
+
+def _minibatches(rng, highs: list, counts: list):
+    """Yield each hop's minibatch indices, or None where it draws none (a full batch).
+
+    Hop i draws ``counts[i]`` indices below ``highs[i]``. A run of hops
+    with one bound makes one draw, which equals the run's per-hop draws:
+    numpy draws bounded integers one at a time, alone or in an array.
+    """
+    for high, run in groupby(zip(highs, counts), key=itemgetter(0)):
+        run = [k for _, k in run]
+        flat = rng.integers(0, high, size=sum(run)) if any(run) else None
+        end = 0
+        for k in run:
+            yield flat[end:end + k] if k else None
+            end += k
+
+
+# A schedule block holds at most this many hops, and at most this many
+# minibatch indices or noise values (but at least one hop), so a walk holds
+# little drawn ahead. Of 16, 32, 64, 128 and 256 hops, 64 gave a run_point
+# the lowest peak memory.
+_BLOCK_HOPS = 64
+_BLOCK_VALUES = 1 << 13
+
+
+def _schedule(cfg, label, hops, route, draws, dim, r_dom, G):
+    """Each hop's ``(t, sender, holder, eta, minibatch, noise row)``, a block at a time.
+
+    ``route(prev, rng, size)`` names the next ``size`` holders from the
+    ``<label>.routing`` substream; ``draws`` is a ``_draws`` table, whose
+    minibatch indices come from ``<label>.batch`` and noise rows from
+    ``<label>.noise``. Every value is, bit for bit, the one the same
+    per-hop draws from the same substreams give (README, "Per-hop cost").
+    """
+    highs, sizes, scales = draws
     routing = substream(cfg.seed, f"{label}.routing")
     batching = substream(cfg.seed, f"{label}.batch")
     noise = substream(cfg.seed, f"{label}.noise")
     prev = int(routing.integers(1, cfg.n_clients + 1))
+    block = max(1, min(_BLOCK_HOPS, _BLOCK_VALUES // max(dim, int(sizes.max()))))
+    for start in range(1, hops + 1, block):
+        ts = range(start, min(start + block, hops + 1))
+        cur = route(prev, routing, len(ts))
+        picks = _minibatches(batching, highs[cur].tolist(), sizes[cur].tolist())
+        scale = scales[cur]
+        noisy = scale > 0
+        z = noise.standard_normal((np.count_nonzero(noisy), dim))  # noisy hops' rows, in order
+        z *= scale[noisy][:, None]
+        z = iter(z)
+        rows = (next(z) if hit else None for hit in noisy.tolist())
+        holders = cur.tolist()
+        etas = _stepsizes(cfg.stepsize_rule, ts, cfg.eta, cfg.grad_bound, r_dom, G)
+        yield from zip(ts, [prev] + holders[:-1], holders, etas, picks, rows)
+        prev = holders[-1]
+
+
+def _walk(cfg, objective, datasets, theta, hops, label, route, draws, step, r_dom, G,
+          report=None):
+    """The hop loop of every protocol: step, log.
+
+    ``_schedule`` draws each hop's holder, minibatch, noise row and
+    stepsize; ``step(client, theta, eta, pick, noise)`` returns the model
+    after that holder's update.
+    """
     messages = []
     trace = None
     if cfg.trace:
         trace = []
         retained_loss = loss_panel(objective, datasets, exclude_forget=True)
         data_u = datasets[cfg.unlearn_client - 1]
-    for t in range(1, hops + 1):
-        cur = route(prev, routing)
-        eta_t = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G)
-        theta = step(cur, theta, eta_t, batching, noise)
+    hops_drawn = _schedule(cfg, label, hops, route, draws, theta.shape[0], r_dom, G)
+    for t, prev, cur, eta_t, pick, noise in hops_drawn:
+        theta = step(cur, theta, eta_t, pick, noise)
         at_u = cur == cfg.unlearn_client
         messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
         if trace is not None:
             trace.append(_trace_row(objective, retained_loss, data_u, t, cur, theta, at_u))
-        prev = cur
     return RunResult(
         final=ModelState(theta),
         transcript=Transcript(tuple(messages)),
@@ -252,17 +319,16 @@ def run_token_training(
 
 
 def _train(cfg: RunConfig, objective, datasets, theta: np.ndarray, label: str) -> RunResult:
-    graph = Graph.complete(cfg.n_clients)
     region = _domain_region(cfg, theta.shape[0])
 
-    def step(client, theta, eta, batching, noise):
-        grad = _client_gradient(objective, datasets, cfg, client, theta, 1, batching)
-        theta = theta - eta * grad
+    def step(client, theta, eta, pick, noise):
+        theta = theta - eta * _client_gradient(objective, datasets, client, theta, pick)
         return project(theta, region) if cfg.domain == "ball" else theta
 
     return _walk(
         cfg, objective, datasets, theta, cfg.train_hops, label,
-        lambda prev, rng: route_uniform(prev, graph, rng), step,
+        lambda prev, rng, size: route_uniform_block(prev, cfg.n_clients, rng, size),
+        _draws(datasets, cfg.batch_size), step,
         r_dom=2.0 * cfg.domain_radius, G=cfg.grad_bound,
     )
 
@@ -313,8 +379,9 @@ def run_private_baseline(
     )
     return _walk(
         cfg, objective, datasets, theta, cfg.train_hops, label,
-        lambda prev, rng: int(rng.integers(1, cfg.n_clients + 1)),
-        _descent_step(cfg, objective, datasets, region, sigma, 1, cfg.clip),
+        lambda prev, rng, size: rng.integers(1, cfg.n_clients + 1, size=size),
+        _draws(datasets, cfg.batch_size, sigma),
+        _descent_step(objective, datasets, region, cfg.clip),
         r_dom=2.0 * cfg.domain_radius, G=G, report=_baseline_record(cfg, sigma),
     )
 
@@ -363,7 +430,6 @@ def run_unlearning(
         raise ValueError("lightweight mode needs a nonempty forget set")
     if data_u.m == data_u.n_u and data_u.m > 0:
         raise ValueError("retained set empty")
-    graph = Graph.complete(cfg.n_clients)
     theta = _init_theta(cfg, theta0)
     ref = theta.copy() if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
 
@@ -394,16 +460,21 @@ def run_unlearning(
 
     region = _domain_region(cfg, theta.shape[0])
     trust = region.with_trust(ref, cfg.trust_radius)
-    descend = _descent_step(cfg, objective, datasets, region, 0.0, cfg.s)
+    descend = _descent_step(objective, datasets, region)
+    correction = _correction(objective, data_u, cfg.mode)
 
-    def step(client, theta, eta, batching, noise):
+    def step(client, theta, eta, pick, noise):
         if client != cfg.unlearn_client:
-            return descend(client, theta, eta, batching, noise)
-        g_u = corrective_gradient(
-            objective, data_u, theta, cfg.mode, cfg.batch_size or None, batching
-        )
-        spec = StepSpec(eta=eta, sigma=sigma, region=trust, ascent=True)
-        return noisy_projected_step(theta, g_u, spec, noise)
+            return descend(client, theta, eta, pick, noise)
+        g_u = correction(theta, pick)
+        return _projected_step(theta, g_u if noise is None else g_u + noise, eta, trust, True)
+
+    # s minibatches per descent hop; at the target, noise and, in LIGHTWEIGHT
+    # mode, one minibatch of the forget set (EXACT uses all retained rows)
+    u = cfg.unlearn_client
+    highs, sizes, scales = _draws(datasets, cfg.s * cfg.batch_size)
+    highs[u], scales[u] = data_u.m, sigma
+    sizes[u] = cfg.batch_size if cfg.mode is CorrectionMode.LIGHTWEIGHT else 0
 
     dim = theta.shape[0]
     G = math.sqrt(effective_variance_bound(cfg.grad_bound, cfg.p, cfg.s, dim, sigma))
@@ -412,8 +483,9 @@ def run_unlearning(
     )
     return _walk(
         cfg, objective, datasets, theta, cfg.unlearn_hops, label,
-        lambda prev, rng: route_restart(cfg.unlearn_client, cfg.p, graph, rng), step,
-        r_dom=r_dom, G=G, report=PrivacyRecord(sigma=sigma, view=view),
+        lambda prev, rng, size: route_restart_block(u, cfg.p, cfg.n_clients, rng, size),
+        (highs, sizes, scales), step, r_dom=r_dom, G=G,
+        report=PrivacyRecord(sigma=sigma, view=view),
     )
 
 

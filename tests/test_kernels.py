@@ -1,0 +1,177 @@
+"""The hop kernels' cheaper forms, bit for bit, and the checks they must keep.
+
+The reference formulas below are the forms the kernels had before their
+numpy dispatch was cut: the masked two-branch sigmoid, ``.mean(axis=0)``
+and ``np.linalg.norm``. The kernels must equal them bit for bit (NaN
+counts as equal to NaN, whatever its sign or payload).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from walkforget import (
+    FeasibleRegion,
+    LogisticObjective,
+    QuadraticObjective,
+    RunConfig,
+    StepSpec,
+    make_task,
+    noisy_projected_step,
+    run_private_baseline,
+    run_unlearning,
+)
+from walkforget import optimizer
+from walkforget.core import _norm
+from walkforget.objectives import _sigmoid
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -2.5e-308,
+           2.2250738585072014e-308, 1e300, -1e300, 709.0, -745.0, 36.7, -36.7]
+
+
+def _sigmoid_reference(t):
+    out = np.empty_like(t, dtype=np.float64)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _logistic_grad_reference(theta, feats, labels):
+    margins = labels * (feats @ theta)
+    w = _sigmoid_reference(-margins)
+    return -(feats * (labels * w)[:, None]).mean(axis=0)
+
+
+def _quadratic_grad_reference(theta, feats, labels):
+    return theta - feats.mean(axis=0)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+_float = st.one_of(
+    st.floats(-1e300, 1e300, allow_subnormal=True),
+    st.sampled_from(SPECIAL),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=hnp.arrays(np.float64, st.integers(1, 2000), elements=_float))
+def test_sigmoid_bits(t):
+    with np.errstate(all="ignore"):
+        _assert_same_bits(_sigmoid(t), _sigmoid_reference(t))
+
+
+@st.composite
+def _batches(draw):
+    """Rows, dimension and scale drawn; values from a seeded rng plus special entries."""
+    n, d = draw(st.integers(1, 2000)), draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    feats = rng.standard_normal((n, d)) * scale
+    theta = rng.standard_normal(d) * 10.0 ** draw(st.integers(-300, 300))
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    for arr in (feats.reshape(-1), theta, labels):
+        for value in draw(st.lists(st.sampled_from(SPECIAL), max_size=3)):
+            arr[rng.integers(arr.size)] = value
+    return theta, feats, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_batches())
+def test_logistic_batch_grad_bits(batch):
+    with np.errstate(all="ignore"):
+        _assert_same_bits(
+            LogisticObjective().batch_grad(*batch), _logistic_grad_reference(*batch)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_batches())
+def test_quadratic_batch_grad_bits(batch):
+    with np.errstate(all="ignore"):
+        _assert_same_bits(
+            QuadraticObjective().batch_grad(*batch), _quadratic_grad_reference(*batch)
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 1000), elements=_float))
+def test_norm_bits(x):
+    with np.errstate(all="ignore"):
+        want = float(np.linalg.norm(x))
+        got = _norm(x)
+        if math.isinf(want) and np.isfinite(x).all():
+            # x @ x overflowed: the norm is taken on x over its largest entry
+            top = np.abs(x).max()
+            assert got == pytest.approx(top * float(np.linalg.norm(x / top)), rel=1e-15)
+        else:
+            _assert_same_bits(got, want)
+
+
+# _project_ball took np.linalg.norm, which overflows once entries pass about
+# 1e154, and then returned the ball's centre instead of a point on its sphere.
+
+def test_project_ball_huge_iterate_lands_on_the_sphere():
+    x = np.array([1e200, -3e199, 2e200])
+    with np.errstate(over="ignore"):
+        out = optimizer._project_ball(x, np.zeros(3), 1.0)
+    assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-15)
+    assert np.allclose(out, x / np.linalg.norm(x / 1e200) / 1e200, rtol=1e-15)
+
+
+def test_huge_noise_baseline_ends_on_the_domain_sphere():
+    cfg = RunConfig(n_clients=4, dim=3, train_hops=12, unlearn_hops=10, p=0.3,
+                    local_size=12, forget_size=2, test_size=10, objective="quadratic",
+                    unlearn_client=2, seed=4, sigma=1e200)
+    task = make_task(cfg)
+    with np.errstate(over="ignore"):
+        final = run_private_baseline(cfg, task.objective, list(task.datasets)).final.params
+    assert np.isfinite(final).all() and np.any(final != 0.0)
+    assert np.linalg.norm(final) == pytest.approx(cfg.domain_radius, rel=1e-12)
+
+
+# The non-expansiveness assertion in the step kernel: a projection that moves
+# a feasible point farther than the raw step must still trip it.
+
+def _expanding(by):
+    def project(theta, region):
+        x = np.asarray(theta, dtype=np.float64)
+        return x + by
+    return project
+
+
+@pytest.mark.skipif(not __debug__, reason="the check is an assert; python -O drops it")
+@pytest.mark.parametrize("ascent", [False, True])
+def test_non_expansiveness_check_fires(monkeypatch, ascent):
+    theta, grad = np.array([0.1, 0.2, 0.0]), np.array([1.0, 0.0, 0.0])
+    spec = StepSpec(eta=0.1, region=FeasibleRegion.ball(np.zeros(3), 1.0), ascent=ascent)
+    # the raw move is 0.1 long; land 0.1 + 1e-6 away from theta
+    monkeypatch.setattr(optimizer, "project", lambda x, region: theta + np.array([0.1 + 1e-6, 0, 0]))
+    with pytest.raises(AssertionError):
+        noisy_projected_step(theta, grad, spec)
+    monkeypatch.setattr(optimizer, "project", lambda x, region: theta + np.array([0.1, 0, 0]))
+    noisy_projected_step(theta, grad, spec)
+
+
+@pytest.mark.skipif(not __debug__, reason="the check is an assert; python -O drops it")
+def test_non_expansiveness_check_fires_in_the_walks(monkeypatch):
+    cfg = RunConfig(n_clients=4, dim=3, train_hops=5, unlearn_hops=5, p=0.5, sigma=0.3,
+                    local_size=12, forget_size=2, test_size=10, objective="quadratic")
+    task = make_task(cfg)
+    monkeypatch.setattr(optimizer, "project", _expanding(1.0))
+    with pytest.raises(AssertionError):
+        run_private_baseline(cfg, task.objective, list(task.datasets))
+    with pytest.raises(AssertionError):
+        run_unlearning(cfg, task.objective, list(task.datasets), np.zeros(cfg.dim))
