@@ -210,20 +210,33 @@ def corrective_gradient(
     over a uniformly sampled forget minibatch, an unbiased estimator of
     (m/n_u) * grad of the forget loss.
     """
-    pick = None
     if mode is CorrectionMode.EXACT:
         if data.m == data.n_u:
             raise ValueError("retained set empty")
     elif mode is CorrectionMode.LIGHTWEIGHT:
         if data.m == 0:
             raise ValueError("lightweight correction needs a nonempty forget set")
-        if batch_size and batch_size > 0:
-            if rng is None:
-                raise ValueError("minibatch sampling needs an rng")
-            pick = rng.integers(0, data.m, size=batch_size)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    pick = None
+    high, size = _correction_draw(data, mode, batch_size)
+    if size:
+        if rng is None:
+            raise ValueError("minibatch sampling needs an rng")
+        pick = rng.integers(0, high, size=size)
     return _correction(objective, data, mode)(theta, pick)
+
+
+def _correction_draw(data: ClientDataset, mode: CorrectionMode, batch_size: int | None) -> tuple:
+    """``(high, size)``: the correction draws ``size`` forget-set positions below ``high``.
+
+    Only LIGHTWEIGHT with a positive ``batch_size`` draws a minibatch;
+    EXACT and the full forget set draw nothing. The unlearning walk's
+    schedule draws by this rule too.
+    """
+    if mode is CorrectionMode.LIGHTWEIGHT and batch_size and batch_size > 0:
+        return data.m, batch_size
+    return data.m, 0
 
 
 def _correction(objective, data: ClientDataset, mode: CorrectionMode):

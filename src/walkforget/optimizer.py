@@ -101,13 +101,43 @@ def averaged_gradient(
         raise ValueError("averaging factor s must be >= 1")
     if data.n_u == 0:
         raise ValueError("empty dataset")
-    if not batch_size:
+    high, size = _descent_draw(data, s, batch_size)
+    if not size:
         return _rows_grad(objective, data, theta)
     if rng is None:
         raise ValueError("minibatch sampling needs an rng")
-    # equal-size i.i.d. minibatches: the mean of the s minibatch means equals
-    # the mean over all s*batch_size sampled examples, so draw them at once
-    return _rows_grad(objective, data, theta, rng.integers(0, data.n_u, size=s * batch_size))
+    return _rows_grad(objective, data, theta, rng.integers(0, high, size=size))
+
+
+def _descent_draw(data, s: int, batch_size: int | None) -> tuple:
+    """``(high, size)``: a descent hop draws ``size`` example indices below ``high``.
+
+    Equal-size i.i.d. minibatches: the mean of the s minibatch means equals
+    the mean over all s*batch_size sampled examples, so a hop draws them at
+    once. A full batch (``batch_size`` 0 or None) or an empty client draws
+    nothing. The walks' schedules draw by this rule too.
+    """
+    if not batch_size or data.n_u == 0:
+        return 0, 0
+    return data.n_u, s * batch_size
+
+
+def _noise_rows(rng, sigmas: np.ndarray, dim: int) -> list:
+    """Each hop's noise row N(0, sigma^2 I), or None where its sigma is 0.
+
+    The noisy hops' rows are one ``standard_normal`` draw, in hop order,
+    equal bit for bit to one ``standard_normal(dim)`` per noisy hop.
+    """
+    noisy = sigmas > 0
+    count = int(np.count_nonzero(noisy))
+    if not count:
+        return [None] * len(noisy)
+    if rng is None:
+        raise ValueError("noisy step needs an rng")
+    z = rng.standard_normal((count, dim))
+    z *= sigmas[noisy][:, None]
+    z = iter(z)
+    return [next(z) if hit else None for hit in noisy.tolist()]
 
 
 @dataclass(frozen=True)
@@ -133,11 +163,8 @@ def noisy_projected_step(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """theta -> project(theta -+ eta * (grad + Z)), Z ~ N(0, sigma^2 I)."""
-    move = grad
-    if spec.sigma > 0:
-        if rng is None:
-            raise ValueError("noisy step needs an rng")
-        move = grad + rng.standard_normal(theta.shape[0]) * spec.sigma
+    noise = _noise_rows(rng, np.array([spec.sigma]), theta.shape[0])[0]
+    move = grad if noise is None else grad + noise
     return _projected_step(theta, move, spec.eta, spec.region, spec.ascent)
 
 

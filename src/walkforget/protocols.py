@@ -49,6 +49,7 @@ from .core import (
     ClientDataset,
     CorrectionMode,
     FeasibleRegion,
+    Graph,
     ModelState,
     RunConfig,
     _bounded_get,
@@ -57,9 +58,11 @@ from .core import (
     substream,
     validate_config,
 )
-from .network import Message, Transcript, route_restart_block, route_uniform_block
-from .objectives import _correction, _rows_grad, local_loss, loss_panel
+from .network import Message, Transcript, route_restart, route_uniform
+from .objectives import _correction, _correction_draw, _rows_grad, local_loss, loss_panel
 from .optimizer import (
+    _descent_draw,
+    _noise_rows,
     _projected_step,
     _stepsizes,
     clip_gradient,
@@ -155,20 +158,27 @@ def _descent_step(objective, datasets, region, clip=0.0):
     return step
 
 
-def _draws(datasets, batch: int, sigma: float = 0.0):
-    """Per-client draw table ``(highs, sizes, scales)``, indexed by client (0 unused).
+def _descent_draws(datasets, s: int, batch: int, sigma: float = 0.0):
+    """``draw(client)`` of a descent hop: ``(high, size, sigma)``.
 
-    A hop at client c samples ``sizes[c]`` minibatch indices below
-    ``highs[c]`` (a full batch when 0) and, when ``scales[c] > 0``, a noise
-    row N(0, scales[c]^2 I). An empty client draws nothing; its step raises.
-    A full-batch table (``batch`` 0) reads no dataset.
+    The hop samples ``size`` minibatch indices below ``high`` (none for a
+    full batch), by ``optimizer._descent_draw``, and, when ``sigma > 0``, a
+    noise row N(0, sigma^2 I). An empty client draws nothing; its step raises.
     """
-    highs = np.zeros(len(datasets) + 1, dtype=np.int64)
-    sizes = np.zeros_like(highs)
-    if batch:
-        highs[1:] = n_u = [data.n_u for data in datasets]
-        sizes[1:] = [batch if n else 0 for n in n_u]
-    return highs, sizes, np.full(len(highs), float(sigma))
+    return lambda client: (*_descent_draw(datasets[client - 1], s, batch), sigma)
+
+
+def _each_hop(next_holder):
+    """A schedule ``route`` that names each hop's holder by ``next_holder(prev, rng)``."""
+
+    def route(prev, rng, size):
+        holders = []
+        for _ in range(size):
+            prev = next_holder(prev, rng)
+            holders.append(prev)
+        return holders
+
+    return route
 
 
 def _minibatches(rng, highs: list, counts: list):
@@ -195,38 +205,34 @@ _BLOCK_HOPS = 64
 _BLOCK_VALUES = 1 << 13
 
 
-def _schedule(cfg, label, hops, route, draws, dim, r_dom, G):
+def _schedule(cfg, label, hops, route, draw, dim, r_dom, G):
     """Each hop's ``(t, sender, holder, eta, minibatch, noise row)``, a block at a time.
 
-    ``route(prev, rng, size)`` names the next ``size`` holders from the
-    ``<label>.routing`` substream; ``draws`` is a ``_draws`` table, whose
-    minibatch indices come from ``<label>.batch`` and noise rows from
-    ``<label>.noise``. Every value is, bit for bit, the one the same
-    per-hop draws from the same substreams give (README, "Per-hop cost").
+    ``route(prev, rng, size)`` lists the next ``size`` holders, drawn from
+    the ``<label>.routing`` substream. ``draw(client)`` is ``(high, size,
+    sigma)``: a hop there takes ``size`` minibatch indices below ``high``
+    from ``<label>.batch`` and, when sigma > 0, a noise row from
+    ``<label>.noise``; no hop takes more than ``cfg.s * cfg.batch_size``
+    indices. Every value is, bit for bit, the one the same per-hop draws
+    from the same substreams give (README, "Per-hop cost").
     """
-    highs, sizes, scales = draws
     routing = substream(cfg.seed, f"{label}.routing")
     batching = substream(cfg.seed, f"{label}.batch")
     noise = substream(cfg.seed, f"{label}.noise")
     prev = int(routing.integers(1, cfg.n_clients + 1))
-    block = max(1, min(_BLOCK_HOPS, _BLOCK_VALUES // max(dim, int(sizes.max()))))
+    block = max(1, min(_BLOCK_HOPS, _BLOCK_VALUES // max(dim, cfg.s * cfg.batch_size)))
     for start in range(1, hops + 1, block):
         ts = range(start, min(start + block, hops + 1))
-        cur = route(prev, routing, len(ts))
-        picks = _minibatches(batching, highs[cur].tolist(), sizes[cur].tolist())
-        scale = scales[cur]
-        noisy = scale > 0
-        z = noise.standard_normal((np.count_nonzero(noisy), dim))  # noisy hops' rows, in order
-        z *= scale[noisy][:, None]
-        z = iter(z)
-        rows = (next(z) if hit else None for hit in noisy.tolist())
-        holders = cur.tolist()
+        holders = route(prev, routing, len(ts))
+        highs, sizes, sigmas = zip(*map(draw, holders))
+        picks = _minibatches(batching, highs, sizes)
+        rows = _noise_rows(noise, np.array(sigmas), dim)
         etas = _stepsizes(cfg.stepsize_rule, ts, cfg.eta, cfg.grad_bound, r_dom, G)
         yield from zip(ts, [prev] + holders[:-1], holders, etas, picks, rows)
         prev = holders[-1]
 
 
-def _walk(cfg, objective, datasets, theta, hops, label, route, draws, step, r_dom, G,
+def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom, G,
           report=None):
     """The hop loop of every protocol: step, log.
 
@@ -240,7 +246,7 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draws, step, r_do
         trace = []
         retained_loss = loss_panel(objective, datasets, exclude_forget=True)
         data_u = datasets[cfg.unlearn_client - 1]
-    hops_drawn = _schedule(cfg, label, hops, route, draws, theta.shape[0], r_dom, G)
+    hops_drawn = _schedule(cfg, label, hops, route, draw, theta.shape[0], r_dom, G)
     for t, prev, cur, eta_t, pick, noise in hops_drawn:
         theta = step(cur, theta, eta_t, pick, noise)
         at_u = cur == cfg.unlearn_client
@@ -319,6 +325,7 @@ def run_token_training(
 
 
 def _train(cfg: RunConfig, objective, datasets, theta: np.ndarray, label: str) -> RunResult:
+    graph = Graph.complete(cfg.n_clients)
     region = _domain_region(cfg, theta.shape[0])
 
     def step(client, theta, eta, pick, noise):
@@ -327,8 +334,8 @@ def _train(cfg: RunConfig, objective, datasets, theta: np.ndarray, label: str) -
 
     return _walk(
         cfg, objective, datasets, theta, cfg.train_hops, label,
-        lambda prev, rng, size: route_uniform_block(prev, cfg.n_clients, rng, size),
-        _draws(datasets, cfg.batch_size), step,
+        _each_hop(lambda prev, rng: route_uniform(prev, graph, rng)),
+        _descent_draws(datasets, 1, cfg.batch_size), step,
         r_dom=2.0 * cfg.domain_radius, G=cfg.grad_bound,
     )
 
@@ -379,8 +386,8 @@ def run_private_baseline(
     )
     return _walk(
         cfg, objective, datasets, theta, cfg.train_hops, label,
-        lambda prev, rng, size: rng.integers(1, cfg.n_clients + 1, size=size),
-        _draws(datasets, cfg.batch_size, sigma),
+        lambda prev, rng, size: rng.integers(1, cfg.n_clients + 1, size=size).tolist(),
+        _descent_draws(datasets, 1, cfg.batch_size, sigma),
         _descent_step(objective, datasets, region, cfg.clip),
         r_dom=2.0 * cfg.domain_radius, G=G, report=_baseline_record(cfg, sigma),
     )
@@ -430,6 +437,7 @@ def run_unlearning(
         raise ValueError("lightweight mode needs a nonempty forget set")
     if data_u.m == data_u.n_u and data_u.m > 0:
         raise ValueError("retained set empty")
+    graph = Graph.complete(cfg.n_clients)
     theta = _init_theta(cfg, theta0)
     ref = theta.copy() if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
 
@@ -469,12 +477,10 @@ def run_unlearning(
         g_u = correction(theta, pick)
         return _projected_step(theta, g_u if noise is None else g_u + noise, eta, trust, True)
 
-    # s minibatches per descent hop; at the target, noise and, in LIGHTWEIGHT
-    # mode, one minibatch of the forget set (EXACT uses all retained rows)
+    # noiseless descent elsewhere; the correction's draw and noise at the target
     u = cfg.unlearn_client
-    highs, sizes, scales = _draws(datasets, cfg.s * cfg.batch_size)
-    highs[u], scales[u] = data_u.m, sigma
-    sizes[u] = cfg.batch_size if cfg.mode is CorrectionMode.LIGHTWEIGHT else 0
+    descent_draw = _descent_draws(datasets, cfg.s, cfg.batch_size)
+    target_draw = (*_correction_draw(data_u, cfg.mode, cfg.batch_size), sigma)
 
     dim = theta.shape[0]
     G = math.sqrt(effective_variance_bound(cfg.grad_bound, cfg.p, cfg.s, dim, sigma))
@@ -483,8 +489,9 @@ def run_unlearning(
     )
     return _walk(
         cfg, objective, datasets, theta, cfg.unlearn_hops, label,
-        lambda prev, rng, size: route_restart_block(u, cfg.p, cfg.n_clients, rng, size),
-        (highs, sizes, scales), step, r_dom=r_dom, G=G,
+        _each_hop(lambda prev, rng: route_restart(u, cfg.p, graph, rng)),
+        lambda client: target_draw if client == u else descent_draw(client),
+        step, r_dom=r_dom, G=G,
         report=PrivacyRecord(sigma=sigma, view=view),
     )
 

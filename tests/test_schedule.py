@@ -1,11 +1,13 @@
 """The walk's up-front schedule equals the per-hop draws it replaces, bit for bit.
 
-Each walk draws its routing, minibatch indices, noise rows and stepsizes a
-block of hops at a time (``protocols._schedule``). These tests compare every
-piece with the per-call draws of the same law from the same generator,
-including the state the generator is left in. If a numpy upgrade changes
-how PCG64 buffers or bounds its draws, they fail first, before every golden
-digest does.
+Each walk draws its minibatch indices, noise rows and stepsizes a block of
+hops at a time (``protocols._schedule``); training and unlearning route each
+hop with the public routers, the baseline draws its i.i.d. holders a block
+at a time. These tests compare every piece with the per-call draws of the
+same law from the same generator, including the state the generator is
+left in, and replay every walk through the public per-hop functions. If a
+numpy upgrade changes how its generators draw arrays, they fail first,
+before every golden digest does.
 """
 
 import math
@@ -13,18 +15,27 @@ import math
 import numpy as np
 import pytest
 
-from walkforget import CorrectionMode, Graph, RunConfig, make_task, stepsize, substream
-from walkforget import protocols
-from walkforget.network import (
-    route_restart,
-    route_restart_block,
-    route_uniform,
-    route_uniform_block,
+from walkforget import (
+    CorrectionMode,
+    Graph,
+    ModelState,
+    RunConfig,
+    StepSpec,
+    averaged_gradient,
+    clip_gradient,
+    corrective_gradient,
+    make_task,
+    noisy_projected_step,
+    project,
+    stepsize,
+    substream,
 )
-from walkforget.optimizer import _stepsizes
+from walkforget import protocols
+from walkforget.core import params_hash
+from walkforget.network import route_restart, route_uniform
+from walkforget.optimizer import _noise_rows, _stepsizes
 
 CLIENT_COUNTS = [2, 3, 10, 2000, 2**31 + 7, 2**32 + 1]
-BLOCK_SIZES = (1, 2, 129, 2000)
 
 
 def _twins(seed):
@@ -37,64 +48,6 @@ def _assert_same_bits(got, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-
-
-@pytest.mark.parametrize("n", CLIENT_COUNTS)
-def test_uniform_block_equals_per_hop_draws(n):
-    rng, ref = _twins(n % 1000)
-    graph = Graph(n)
-    got, want = [], []
-    prev = ref_prev = 1
-    for size in BLOCK_SIZES:
-        block = route_uniform_block(prev, n, rng, size).tolist()
-        got += block
-        prev = block[-1]
-        for _ in range(size):
-            ref_prev = route_uniform(ref_prev, graph, ref)
-            want.append(ref_prev)
-    assert got == want
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
-@pytest.mark.parametrize("n", CLIENT_COUNTS)
-@pytest.mark.parametrize("spare_half", [False, True], ids=["fresh", "spare-half"])
-def test_restart_block_equals_per_hop_draws(n, p, spare_half):
-    rng, ref = _twins(7 + n % 1000)
-    if spare_half:  # leave PCG64 holding the high half of an output
-        assert rng.integers(1, 11) == ref.integers(1, 11)
-        assert rng.bit_generator.state["has_uint32"] == 1
-    graph = Graph(n)
-    target = min(n, 3)
-    got, want = [], []
-    for size in BLOCK_SIZES:
-        got += route_restart_block(target, p, n, rng, size).tolist()
-        want += [route_restart(target, p, graph, ref) for _ in range(size)]
-        assert rng.bit_generator.state == ref.bit_generator.state
-    assert got == want
-    assert rng.integers(1, n) == ref.integers(1, n)
-    assert rng.random() == ref.random()
-
-
-def test_restart_block_long_run_with_rejections():
-    # an offset range just past 2**31 rejects about half of the 32-bit draws
-    n = 2**31 + 7
-    rng, ref = _twins(2024)
-    got = route_restart_block(5, 0.1, n, rng, 20_000).tolist()
-    assert got == [route_restart(5, 0.1, Graph(n), ref) for _ in range(20_000)]
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_restart_block_fails_closed():
-    rng = np.random.default_rng(1)
-    start = rng.bit_generator.state
-    with pytest.raises(ValueError, match=r"2\*\*32 \+ 1"):
-        route_restart_block(1, 0.5, 2**32 + 2, rng, 4)
-    assert rng.bit_generator.state == start
-    for bitgen in (np.random.PCG64DXSM(1), np.random.MT19937(1), np.random.Philox(1),
-                   np.random.SFC64(1)):
-        with pytest.raises(ValueError, match="PCG64"):
-            route_restart_block(1, 0.5, 10, np.random.Generator(bitgen), 4)
 
 
 @pytest.mark.parametrize("n", CLIENT_COUNTS)
@@ -122,11 +75,18 @@ def test_mixed_bound_minibatch_indices():
 @pytest.mark.parametrize("dim", [1, 3, 10, 100])
 def test_noise_rows(dim):
     scales = np.random.default_rng(dim).choice([0.5, 3.0, 1e-3, 1e200], size=300)
+    scales[::7] = 0.0  # noiseless hops draw nothing
     rng, ref = _twins(dim)
-    rows = rng.standard_normal((scales.size, dim))
-    rows *= scales[:, None]
-    _assert_same_bits(rows, [ref.standard_normal(dim) * float(s) for s in scales])
+    rows = _noise_rows(rng, scales, dim)
+    for row, s in zip(rows, scales, strict=True):
+        if s == 0:
+            assert row is None
+        else:
+            _assert_same_bits(row, ref.standard_normal(dim) * float(s))
     assert rng.bit_generator.state == ref.bit_generator.state
+    assert _noise_rows(None, np.zeros(3), dim) == [None] * 3
+    with pytest.raises(ValueError, match="rng"):
+        _noise_rows(None, np.array([0.0, 1.0]), dim)
 
 
 @pytest.mark.parametrize("r_dom, G", [
@@ -147,11 +107,10 @@ def test_stepsize_vector(rule, r_dom, G):
 # holders from the per-call routers, one minibatch draw and one noise draw
 # per hop, and the scalar stepsize, across several blocks.
 
-def _per_hop_schedule(cfg, label, hops, law, draws, dim, r_dom, G):
+def _per_hop_schedule(cfg, label, hops, law, draw, dim, r_dom, G):
     routing, batching, noise = (
         substream(cfg.seed, f"{label}.{name}") for name in ("routing", "batch", "noise")
     )
-    highs, sizes, scales = draws
     graph = Graph(cfg.n_clients)
     prev = int(routing.integers(1, cfg.n_clients + 1))
     for t in range(1, hops + 1):
@@ -161,19 +120,21 @@ def _per_hop_schedule(cfg, label, hops, law, draws, dim, r_dom, G):
             cur = int(routing.integers(1, cfg.n_clients + 1))
         else:
             cur = route_restart(cfg.unlearn_client, cfg.p, graph, routing)
-        pick = batching.integers(0, highs[cur], size=sizes[cur]) if sizes[cur] else None
-        row = noise.standard_normal(dim) * scales[cur] if scales[cur] > 0 else None
+        high, size, sigma = draw(cur)
+        pick = batching.integers(0, high, size=size) if size else None
+        row = noise.standard_normal(dim) * sigma if sigma > 0 else None
         eta = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G)
         yield t, prev, cur, eta, pick, row
         prev = cur
 
 
 ROUTES = {
-    "uniform": lambda cfg: lambda prev, rng, size: route_uniform_block(
-        prev, cfg.n_clients, rng, size),
-    "iid": lambda cfg: lambda prev, rng, size: rng.integers(1, cfg.n_clients + 1, size=size),
-    "restart": lambda cfg: lambda prev, rng, size: route_restart_block(
-        cfg.unlearn_client, cfg.p, cfg.n_clients, rng, size),
+    "uniform": lambda cfg: protocols._each_hop(
+        lambda prev, rng: route_uniform(prev, Graph(cfg.n_clients), rng)),
+    "iid": lambda cfg: lambda prev, rng, size: rng.integers(
+        1, cfg.n_clients + 1, size=size).tolist(),
+    "restart": lambda cfg: protocols._each_hop(
+        lambda prev, rng: route_restart(cfg.unlearn_client, cfg.p, Graph(cfg.n_clients), rng)),
 }
 
 SCHEDULE_CASES = {
@@ -193,14 +154,18 @@ def test_schedule_equals_per_hop_draws(case):
     cfg = RunConfig(**{**dict(n_clients=5, dim=4, local_size=30, forget_size=6, seed=8,
                               unlearn_client=2, mode=CorrectionMode.LIGHTWEIGHT), **change})
     datasets = make_task(cfg).datasets
-    highs, sizes, scales = draws = protocols._draws(datasets, cfg.s * cfg.batch_size, sigma)
-    if target_sigma is not None:
-        u = cfg.unlearn_client
-        highs[u], sizes[u], scales[u] = datasets[u - 1].m, cfg.batch_size, target_sigma
+    descent = protocols._descent_draws(datasets, cfg.s, cfg.batch_size, sigma)
+    u = cfg.unlearn_client
+    target = descent(u) if target_sigma is None else (
+        datasets[u - 1].m, cfg.batch_size, target_sigma)
+
+    def draw(client):
+        return target if client == u else descent(client)
+
     hops = 7 if cfg.dim > 1000 else 300
-    args = (hops, ROUTES[law](cfg), draws, cfg.dim, 1.5, 2.5)
+    args = (hops, ROUTES[law](cfg), draw, cfg.dim, 1.5, 2.5)
     got = list(protocols._schedule(cfg, "walk", *args))
-    want = list(_per_hop_schedule(cfg, "walk", hops, law, draws, cfg.dim, 1.5, 2.5))
+    want = list(_per_hop_schedule(cfg, "walk", hops, law, draw, cfg.dim, 1.5, 2.5))
     assert len(got) == len(want) == hops
     for hop, ref in zip(got, want):
         assert hop[:3] == ref[:3] and all(type(v) is int for v in hop[:3])
@@ -209,3 +174,91 @@ def test_schedule_equals_per_hop_draws(case):
             assert (mine is None) == (theirs is None)
             if mine is not None:
                 _assert_same_bits(mine, theirs)
+
+
+# Every walk, replayed hop by hop through the public per-hop functions, as
+# the walks ran before their schedules: each function draws its own
+# minibatch and noise. The walks' draw rules and these functions' must agree.
+
+def _replay(cfg, theta, hops, label, next_holder, step):
+    routing, batching, noise = (
+        substream(cfg.seed, f"{label}.{name}") for name in ("routing", "batch", "noise")
+    )
+    prev = int(routing.integers(1, cfg.n_clients + 1))
+    hashes = []
+    for t in range(1, hops + 1):
+        cur = next_holder(prev, routing)
+        eta = stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, 2.0 * cfg.domain_radius,
+                       cfg.grad_bound)
+        theta = step(cur, theta, eta, batching, noise)
+        hashes.append((t, prev, cur, params_hash(theta)))
+        prev = cur
+    return theta, hashes
+
+
+def _walk_hashes(result):
+    return [(m.round, m.sender, m.receiver, m.payload_hash) for m in result.transcript]
+
+
+REPLAY_CASES = {
+    "minibatch": dict(batch_size=3, s=2),
+    "fullbatch-decreasing": dict(stepsize_rule="decreasing"),
+    "exact": dict(batch_size=4, s=3, mode=CorrectionMode.EXACT),
+    "quadratic-n2": dict(n_clients=2, batch_size=2, objective="quadratic", p=0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_walks_equal_public_per_hop_functions(case):
+    cfg = RunConfig(**{**dict(n_clients=4, dim=3, local_size=12, forget_size=3, seed=5,
+                              unlearn_client=2, mode=CorrectionMode.LIGHTWEIGHT, p=0.3,
+                              train_hops=60, unlearn_hops=60, sigma=0.4, domain="ball",
+                              domain_radius=1.0, trust_radius=0.3, eta=0.4),
+                       **REPLAY_CASES[case]})
+    task = make_task(cfg)
+    objective, datasets = task.objective, list(task.datasets)
+    graph = Graph(cfg.n_clients)
+    region = protocols._domain_region(cfg, cfg.dim)
+    batch = cfg.batch_size or None
+
+    def descend(s, sigma, reg):
+        def step(client, theta, eta, batching, noise):
+            grad = averaged_gradient(objective, datasets[client - 1], theta, s, batch, batching)
+            return noisy_projected_step(theta, grad, StepSpec(eta, sigma, reg), noise)
+        return step
+
+    def train_step(client, theta, eta, batching, noise):
+        grad = averaged_gradient(objective, datasets[client - 1], theta, 1, batch, batching)
+        return project(theta - eta * grad, region)
+
+    trained = protocols.run_token_training(cfg, objective, datasets)
+    theta, hashes = _replay(cfg, np.zeros(cfg.dim), cfg.train_hops, "train",
+                            lambda prev, rng: route_uniform(prev, graph, rng), train_step)
+    assert _walk_hashes(trained) == hashes
+    _assert_same_bits(trained.final.params, theta)
+
+    if cfg.stepsize_rule == "constant":  # the noisy walks' decreasing rule reads their G
+        baseline = protocols.run_private_baseline(cfg, objective, datasets)
+        theta, hashes = _replay(cfg, np.zeros(cfg.dim), cfg.train_hops, "baseline",
+                                lambda prev, rng: int(rng.integers(1, cfg.n_clients + 1)),
+                                descend(1, cfg.sigma, region))
+        assert _walk_hashes(baseline) == hashes
+        _assert_same_bits(baseline.final.params, theta)
+
+        start = ModelState(np.full(cfg.dim, 0.1))
+        trust = region.with_trust(start.params, cfg.trust_radius)
+        elsewhere = descend(cfg.s, 0.0, region)
+        u = cfg.unlearn_client
+
+        def unlearn_step(client, theta, eta, batching, noise):
+            if client != u:
+                return elsewhere(client, theta, eta, batching, noise)
+            g_u = corrective_gradient(objective, datasets[u - 1], theta, cfg.mode, batch, batching)
+            return noisy_projected_step(theta, g_u, StepSpec(eta, cfg.sigma, trust, True), noise)
+
+        unlearned = protocols.run_unlearning(cfg, objective, datasets, start)
+        theta, hashes = _replay(cfg, start.params, cfg.unlearn_hops, "unlearn",
+                                lambda prev, rng: route_restart(u, cfg.p, graph, rng),
+                                unlearn_step)
+        assert _walk_hashes(unlearned) == hashes
+        _assert_same_bits(unlearned.final.params, theta)
