@@ -85,7 +85,6 @@ from .objectives import (
     dataset_from_lines,
     dataset_to_lines,
     decompose_gradient,
-    global_grad,
     global_loss,
     grad_local,
     loss_panel,

@@ -112,7 +112,8 @@ class Graph:
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only C-ordered copy, so that equal values give equal runs."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

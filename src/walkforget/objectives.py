@@ -32,7 +32,6 @@ __all__ = [
     "closed_form_optimum",
     "global_loss",
     "loss_panel",
-    "global_grad",
     "retained_global_grad",
     "SyntheticTask",
     "make_quadratic_task",
@@ -50,10 +49,6 @@ class QuadraticObjective:
     mu: float = 1.0
     smoothness: float = 1.0
     kind: str = "quadratic"
-
-    def example_loss(self, theta, x, y) -> float:
-        diff = theta - x
-        return 0.5 * float(diff @ diff)
 
     def mean_losses(self, theta, feats, labels):
         """Mean per-example loss along the ``n`` axis of ``(..., n, d)`` rows.
@@ -117,13 +112,18 @@ class LogisticObjective:
     def batch_loss(self, theta, feats, labels) -> float:
         return float(self.mean_losses(theta, feats, labels))
 
-    def example_loss(self, theta, x, y) -> float:
-        return self.batch_loss(theta, x[None, :], np.array([y]))
-
     def batch_grad(self, theta, feats, labels) -> np.ndarray:
         margins = labels * (feats @ theta)
-        w = _sigmoid(-margins)  # in (0,1)
-        return -(np.add.reduce(feats * (labels * w)[:, None], axis=0) / feats.shape[0])
+        weights = labels * _sigmoid(-margins)  # sigmoid in (0,1)
+        if feats.flags.c_contiguous and feats.shape[1] > 1:
+            # einsum adds the weighted rows one at a time into every column,
+            # the order np.add.reduce sums the C-ordered (n, d) product in, so
+            # the bits match without forming it. At d = 1 einsum sums unrolled
+            # and on other layouts the reduce sums pairwise: take the product.
+            total = np.einsum("ij,i->j", feats, weights)
+        else:
+            total = np.add.reduce(feats * weights[:, None], axis=0)
+        return -(total / feats.shape[0])
 
     def example_grad_norms(self, theta, feats, labels) -> np.ndarray:
         margins = labels * (feats @ theta)
@@ -330,10 +330,6 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
         return total / len(order)
 
     return panel
-
-
-def global_grad(objective, datasets, theta) -> np.ndarray:
-    return np.mean([grad_local(objective, d, theta, "full") for d in datasets], axis=0)
 
 
 def retained_global_grad(objective, datasets, theta) -> np.ndarray:

@@ -59,7 +59,7 @@ from .core import (
     validate_config,
 )
 from .network import Message, Transcript, route_restart, route_uniform
-from .objectives import _correction, _correction_draw, _rows_grad, local_loss, loss_panel
+from .objectives import _correction, _correction_draw, _rows_grad, _subset_arrays, loss_panel
 from .optimizer import (
     _descent_draw,
     _noise_rows,
@@ -131,12 +131,14 @@ def _init_theta(cfg: RunConfig, theta0) -> np.ndarray:
     return np.asarray(theta0, dtype=np.float64).copy()
 
 
-def _trace_row(objective, retained_loss, data_u, t, client, theta, at_target):
-    """One trace row; ``retained_loss`` is the walk's ``loss_panel``."""
+def _trace_row(objective, retained_loss, forget_rows, t, client, theta, at_target):
+    """One trace row; ``retained_loss`` is the walk's ``loss_panel``.
+
+    ``forget_rows`` is the unlearning client's forget ``(features, labels)``,
+    taken once per walk, or None when its forget set is empty.
+    """
     retained = retained_loss(theta)
-    forget = (
-        local_loss(objective, data_u, theta, "forget") if data_u.m > 0 else math.nan
-    )
+    forget = math.nan if forget_rows is None else objective.batch_loss(theta, *forget_rows)
     return (t, client, retained, forget, _norm(theta), at_target)
 
 
@@ -246,13 +248,14 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom
         trace = []
         retained_loss = loss_panel(objective, datasets, exclude_forget=True)
         data_u = datasets[cfg.unlearn_client - 1]
+        forget_rows = _subset_arrays(data_u, "forget") if data_u.m > 0 else None
     hops_drawn = _schedule(cfg, label, hops, route, draw, theta.shape[0], r_dom, G)
     for t, prev, cur, eta_t, pick, noise in hops_drawn:
         theta = step(cur, theta, eta_t, pick, noise)
         at_u = cur == cfg.unlearn_client
         messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
         if trace is not None:
-            trace.append(_trace_row(objective, retained_loss, data_u, t, cur, theta, at_u))
+            trace.append(_trace_row(objective, retained_loss, forget_rows, t, cur, theta, at_u))
     return RunResult(
         final=ModelState(theta),
         transcript=Transcript(tuple(messages)),

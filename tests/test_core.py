@@ -68,6 +68,18 @@ class TestClientDataset:
         with pytest.raises(ValueError):
             ClientDataset(np.zeros((3, 2)), np.zeros(3), (5,))
 
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_features_are_stored_c_ordered(self, layout):
+        # the digest hashes the values in C order whatever the layout, and the
+        # gradient kernels sum C-ordered rows in one order: store that one
+        rows = np.arange(24.0).reshape(6, 4) / 7.0
+        given = np.asfortranarray(rows) if layout == "F" else np.repeat(rows, 2, axis=1)[:, ::2]
+        assert not given.flags.c_contiguous
+        data = ClientDataset(given, np.ones(6), (2,))
+        assert data.features.flags.c_contiguous
+        np.testing.assert_array_equal(data.features, rows)
+        assert data.digest == ClientDataset(rows, np.ones(6), (2,)).digest
+
 
 class TestValidateConfig:
     def test_bad_p(self):

@@ -7,6 +7,7 @@ counts as equal to NaN, whatever its sign or payload).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,74 @@ def test_logistic_batch_grad_bits(batch):
         _assert_same_bits(
             LogisticObjective().batch_grad(*batch), _logistic_grad_reference(*batch)
         )
+
+
+def _logistic_batch(n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((n, d)) / math.sqrt(d)
+    return rng.standard_normal(d), feats, np.where(rng.random(n) < 0.5, 1.0, -1.0)
+
+
+# LogisticObjective.batch_grad sums the weighted rows with einsum only where
+# that keeps the reduce's bits (C-ordered rows, d >= 2), and takes the (n, d)
+# product elsewhere. Each layout and edge shape is checked against the
+# reference, so a numpy whose einsum sums in another order fails here first.
+
+@pytest.mark.parametrize("layout", ["F", "rows", "cols", "rows-reversed"])
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 7), (9, 1), (40, 1), (40, 2), (2000, 100)])
+def test_logistic_batch_grad_bits_off_the_c_layout(layout, n, d):
+    theta, feats, labels = _logistic_batch(2 * n, 2 * d)
+    feats = {
+        "F": np.asfortranarray(feats[:n, :d]),
+        "rows": feats[::2, :d],
+        "cols": feats[:n, ::2],
+        "rows-reversed": feats[::-2, :d],
+    }[layout]
+    theta, labels = theta[:d], labels[:n]
+    _assert_same_bits(
+        LogisticObjective().batch_grad(theta, feats, labels),
+        _logistic_grad_reference(theta, feats, labels),
+    )
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 300), (2, 2), (17, 1), (4096, 1),
+                                 (3, 2), (4097, 2), (2000, 100), (100_000, 20),
+                                 (64, 20_000), (1025, 513)])
+def test_logistic_batch_grad_bits_fixed_shapes(n, d):
+    theta, feats, labels = _logistic_batch(n, d, seed=n * 31 + d)
+    _assert_same_bits(
+        LogisticObjective().batch_grad(theta, feats, labels),
+        _logistic_grad_reference(theta, feats, labels),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, len(SPECIAL)])
+def test_logistic_batch_grad_bits_special_values(d):
+    # every special value in every column, against every special margin
+    values = np.array(SPECIAL)
+    rows = np.stack([np.roll(values, k) for k in range(len(SPECIAL))])
+    feats = np.ascontiguousarray(np.tile(rows, (2, 1))[:, :d])
+    labels = np.where(np.arange(feats.shape[0]) % 3 == 0, -1.0, 1.0)
+    for theta in (np.ones(d), values[:d], -values[::-1][:d], np.full(d, 1e-300)):
+        with np.errstate(all="ignore"):
+            _assert_same_bits(
+                LogisticObjective().batch_grad(theta, feats, labels),
+                _logistic_grad_reference(theta, feats, labels),
+            )
+
+
+def test_logistic_batch_grad_does_not_form_the_weighted_rows():
+    n, d = 2000, 100
+    theta, feats, labels = _logistic_batch(n, d)
+    objective = LogisticObjective()
+    objective.batch_grad(theta, feats, labels)
+    tracemalloc.start()
+    try:
+        objective.batch_grad(theta, feats, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
 
 
 @settings(max_examples=150, deadline=None)

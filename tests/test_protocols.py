@@ -143,6 +143,48 @@ def test_one_loss_panel_per_traced_walk_and_none_untraced(quad_task, monkeypatch
     assert len(built) == (3 if trace else 0)
 
 
+def test_f_ordered_features_train_to_the_same_bits():
+    # an F-ordered copy has the C-ordered data's digest, the training reuse
+    # key; it must also give that data's run, bit for bit (full batch, d=40)
+    from walkforget import ClientDataset, make_task
+
+    cfg = quad_cfg(n_clients=3, dim=40, train_hops=30, local_size=300, forget_size=10,
+                   test_size=10, objective="logistic", grad_bound=1.0, seed=3)
+    task = make_task(cfg)
+    datasets = list(task.datasets)
+    f_ordered = [ClientDataset(np.asfortranarray(d.features), d.labels, d.forget_indices)
+                 for d in datasets]
+    assert [d.digest for d in f_ordered] == [d.digest for d in datasets]
+    a = run_token_training(cfg, task.objective, datasets)
+    b = run_token_training(cfg, task.objective, f_ordered)
+    assert a.final.params.tobytes() == b.final.params.tobytes()
+    assert a.transcript == b.transcript
+
+
+def test_traced_walk_takes_the_forget_rows_once(quad_task, monkeypatch):
+    from walkforget import objectives, protocols
+
+    calls = []
+    inner = objectives._subset_arrays
+
+    def counted(data, subset):
+        calls.append(subset)
+        return inner(data, subset)
+
+    monkeypatch.setattr(objectives, "_subset_arrays", counted)
+    monkeypatch.setattr(protocols, "_subset_arrays", counted)
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    counts = []
+    for hops in (5, 40):
+        calls.clear()
+        cfg = quad_cfg(train_hops=hops, unlearn_hops=hops, sigma=0.5, trace=True)
+        trained = run_token_training(cfg, objective, datasets)
+        run_unlearning(cfg, objective, datasets, trained.final)
+        assert len(trained.trace) == hops and calls.count("forget") == 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 class TestPrivateBaseline:
     def test_sigma_in_report(self, quad_task):
         cfg = quad_cfg(train_hops=5, sigma=None, grad_bound=1.0, eps=1.0, delta=1e-5)
