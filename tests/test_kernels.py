@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from walkforget import (
+    ClientDataset,
     FeasibleRegion,
     LogisticObjective,
     QuadraticObjective,
     RunConfig,
     StepSpec,
+    grad_local,
     make_task,
     noisy_projected_step,
     run_private_baseline,
@@ -28,7 +30,7 @@ from walkforget import (
 )
 from walkforget import optimizer
 from walkforget.core import _norm
-from walkforget.objectives import _sigmoid
+from walkforget.objectives import _rows_grad, _sigmoid
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -2.5e-308,
            2.2250738585072014e-308, 1e300, -1e300, 709.0, -745.0, 36.7, -36.7]
@@ -150,6 +152,47 @@ def test_logistic_batch_grad_bits_special_values(d):
                 LogisticObjective().batch_grad(theta, feats, labels),
                 _logistic_grad_reference(theta, feats, labels),
             )
+
+
+# The objectives gather minibatch, forget and retained rows with
+# ``take(rows, axis=0)``. It must give the C-ordered bytes of fancy indexing,
+# so batch_grad keeps its einsum path and its bits.
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_batches(), picks=st.lists(st.integers(0, 2**31), min_size=1, max_size=300))
+def test_logistic_batch_grad_bits_on_taken_rows(batch, picks):
+    theta, feats, labels = batch
+    rows = np.array(picks, dtype=np.intp) % feats.shape[0]
+    taken = feats.take(rows, axis=0)
+    assert taken.flags.c_contiguous
+    assert np.array_equal(taken.view(np.uint64), feats[rows].view(np.uint64))
+    with np.errstate(all="ignore"):
+        _assert_same_bits(
+            LogisticObjective().batch_grad(theta, taken, labels.take(rows)),
+            _logistic_grad_reference(theta, feats[rows], labels[rows]),
+        )
+
+
+@pytest.mark.parametrize("n,d,size", [(200, 10, 20), (2000, 100, 80), (50, 1, 7), (3, 2, 1)])
+def test_rows_grad_on_taken_rows(n, d, size):
+    theta, feats, labels = _logistic_batch(n, d, seed=n + d)
+    data = ClientDataset(np.asfortranarray(feats), labels, tuple(range(0, n, 3)))
+    rows = np.random.default_rng(size).integers(0, n, size=size)
+    forget = np.array(data.forget_indices)
+    for objective, reference in ((LogisticObjective(), _logistic_grad_reference),
+                                 (QuadraticObjective(), _quadratic_grad_reference)):
+        _assert_same_bits(
+            _rows_grad(objective, data, theta, rows),
+            reference(theta, feats[rows], labels[rows]),
+        )
+        for subset, picked in (("forget", forget), ("retained", data.retained_indices())):
+            _assert_same_bits(
+                grad_local(objective, data, theta, subset),
+                reference(theta, feats[picked], labels[picked]),
+            )
+    kept = data.without_forget()
+    assert kept.features.flags.c_contiguous
+    assert np.array_equal(kept.features, feats[data.retained_indices()])
 
 
 def test_logistic_batch_grad_does_not_form_the_weighted_rows():

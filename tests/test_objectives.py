@@ -1,5 +1,8 @@
 """Gradients, the mixture decomposition, corrective steps, closed forms."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from walkforget import (
     CorrectionMode,
     LogisticObjective,
     QuadraticObjective,
+    RunConfig,
     closed_form_optimum,
     corrective_gradient,
     dataset_from_lines,
@@ -20,6 +24,7 @@ from walkforget import (
     loss_panel,
     make_logistic_task,
     make_quadratic_task,
+    make_task,
     substream,
 )
 
@@ -273,6 +278,58 @@ class TestGenerators:
         np.testing.assert_array_equal(again.features, data.features)
         np.testing.assert_array_equal(again.labels, data.labels)
         assert again.forget_indices == data.forget_indices
+
+
+# The sha256 of every array make_task returns (each client's features, labels
+# and forget indices, then the test set's features and labels, with dtype and
+# shape), recorded before make_logistic_task scaled its blocks in place. The
+# rng draw order and the bits must not change.
+TASK_CASES = {
+    "sweep-p": dict(seed=801, objective="logistic", n_clients=10, dim=100,
+                    local_size=2000, forget_size=100, test_size=2000),
+    "point-boundary": dict(seed=802, objective="logistic", n_clients=10, dim=10,
+                           local_size=200, forget_size=20, test_size=500),
+    "quadratic": dict(seed=803, objective="quadratic", n_clients=5, dim=8,
+                      local_size=40, forget_size=6, unlearn_client=3),
+}
+TASK_DIGESTS = {
+    "point-boundary": "d8c899c2586519b7ed209507506474d6d8fac9515076aac21b7579c4d487c022",
+    "quadratic": "ca4ab894b156ecfad8d2dd75afb5f32e6a6f3ec13be839c9aab5985b54519cf9",
+    "sweep-p": "6a397bc4c62e8b9a55a6cee1303a34b101ce7f95ad464852a7041e90f21d445f",
+}
+
+
+def _task_digest(task):
+    arrays = []
+    for data in task.datasets:
+        arrays += [data.features, data.labels, np.array(data.forget_indices, dtype=np.int64)]
+    arrays += [task.test_features, task.test_labels]
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TASK_CASES))
+def test_make_task_golden_digests(case):
+    task = make_task(RunConfig(**TASK_CASES[case]))
+    assert _task_digest(task) == TASK_DIGESTS[case]
+
+
+def test_make_logistic_task_peak_is_the_task_plus_two_client_blocks():
+    # the sweep-p shape: every client's rows are held once, plus one block
+    n_clients, dim, local_size, test_size = 10, 100, 2000, 2000
+    rng = substream(801, "data")
+    tracemalloc.start()
+    try:
+        task = make_logistic_task(n_clients, dim, local_size, 100, 1, rng, test_size=test_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(d.features.nbytes + d.labels.nbytes for d in task.datasets)
+    output += task.test_features.nbytes + task.test_labels.nbytes
+    assert peak - output <= 2 * local_size * dim * 8
 
 
 @st.composite
