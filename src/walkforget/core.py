@@ -63,9 +63,11 @@ def _bounded_get(store, key, capacity: int, make):
 
 
 def params_hash(params: np.ndarray) -> str:
-    """Hex digest of a parameter vector (little-endian float64 bytes)."""
-    buf = np.ascontiguousarray(params, dtype="<f8").tobytes()
-    return hashlib.sha256(buf).hexdigest()[:16]
+    """Hex digest of a parameter vector (little-endian float64 bytes).
+
+    sha256 reads the contiguous array's buffer; no bytes copy is made.
+    """
+    return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8")).hexdigest()[:16]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -245,7 +247,7 @@ class ClientDataset:
     def without_forget(self) -> "ClientDataset":
         """The dataset after deleting the forget subset."""
         keep = self.retained_indices()
-        return ClientDataset(self.features[keep], self.labels[keep], ())
+        return ClientDataset(self.features.take(keep, axis=0), self.labels.take(keep), ())
 
     def with_forget(self, indices) -> "ClientDataset":
         return ClientDataset(self.features, self.labels, tuple(indices))

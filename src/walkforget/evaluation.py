@@ -91,9 +91,9 @@ def evaluate(
     if objective.kind == "logistic":
         clean_acc = _accuracy(objective, theta, test_features, test_labels)
         if data_u.m > 0:
-            idx = list(data_u.forget_indices)
+            idx = data_u.forget_indices
             forget_acc = _accuracy(
-                objective, theta, data_u.features[idx], data_u.labels[idx]
+                objective, theta, data_u.features.take(idx, axis=0), data_u.labels.take(idx)
             )
     distance = None
     if certifier_params is not None:
@@ -355,7 +355,7 @@ def rows_to_csv(rows, sweep_keys, path) -> None:
 
 def _retained_minimizer(objective, data: ClientDataset) -> np.ndarray:
     keep = data.retained_indices()
-    feats, labels = data.features[keep], data.labels[keep]
+    feats, labels = data.features.take(keep, axis=0), data.labels.take(keep)
     if objective.kind == "quadratic":
         return feats.mean(axis=0)
     theta = np.zeros(data.dim)

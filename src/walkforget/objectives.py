@@ -71,17 +71,15 @@ class QuadraticObjective:
         # np.add.reduce / n is what .mean(axis=0) computes, less its dispatch
         return theta - np.add.reduce(feats, axis=0) / feats.shape[0]
 
-    def example_grad_norms(self, theta, feats, labels) -> np.ndarray:
-        return np.linalg.norm(theta[None, :] - feats, axis=1)
-
 
 def _sigmoid(t):
     """1 / (1 + exp(-t)), stably: e / (1 + e) with e = exp(t) where t < 0.
 
     One unmasked pass; each entry is the same quotient of the same two
     doubles as in the masked two-branch form, so the bits do not change.
+    ``copysign(t, -1)`` is ``-|t|`` in one pass.
     """
-    e = np.exp(-np.abs(t))
+    e = np.exp(np.copysign(t, -1.0))
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -113,8 +111,13 @@ class LogisticObjective:
         return float(self.mean_losses(theta, feats, labels))
 
     def batch_grad(self, theta, feats, labels) -> np.ndarray:
-        margins = labels * (feats @ theta)
-        weights = labels * _sigmoid(-margins)  # sigmoid in (0,1)
+        # -y * <theta, x> and the weights are scaled in place, with the bits
+        # of the out-of-place products
+        neg_margins = feats @ theta
+        neg_margins *= labels
+        np.negative(neg_margins, out=neg_margins)
+        weights = _sigmoid(neg_margins)  # sigmoid in (0,1)
+        weights *= labels
         if feats.flags.c_contiguous and feats.shape[1] > 1:
             # einsum adds the weighted rows one at a time into every column,
             # the order np.add.reduce sums the C-ordered (n, d) product in, so
@@ -123,12 +126,8 @@ class LogisticObjective:
             total = np.einsum("ij,i->j", feats, weights)
         else:
             total = np.add.reduce(feats * weights[:, None], axis=0)
-        return -(total / feats.shape[0])
-
-    def example_grad_norms(self, theta, feats, labels) -> np.ndarray:
-        margins = labels * (feats @ theta)
-        w = _sigmoid(-margins)
-        return w * np.linalg.norm(feats, axis=1)
+        total /= feats.shape[0]
+        return np.negative(total, out=total)
 
     def predict(self, theta, feats) -> np.ndarray:
         """Class labels in {-1, +1}; ties resolve to +1."""
@@ -142,12 +141,12 @@ def _subset_arrays(data: ClientDataset, subset: str):
         if data.m == data.n_u:
             raise ValueError("retained set empty")
         keep = data.retained_indices()
-        return data.features[keep], data.labels[keep]
+        return data.features.take(keep, axis=0), data.labels.take(keep)
     if subset == "forget":
         if data.m == 0:
             raise ValueError("forget set empty")
-        idx = list(data.forget_indices)
-        return data.features[idx], data.labels[idx]
+        idx = data.forget_indices
+        return data.features.take(idx, axis=0), data.labels.take(idx)
     raise ValueError(f"unknown subset {subset!r}")
 
 
@@ -155,7 +154,7 @@ def _rows_grad(objective, data: ClientDataset, theta: np.ndarray, rows=None) -> 
     """Average gradient over the client's examples ``rows`` (all of them when None)."""
     if rows is None:
         return objective.batch_grad(theta, data.features, data.labels)
-    return objective.batch_grad(theta, data.features[rows], data.labels[rows])
+    return objective.batch_grad(theta, data.features.take(rows, axis=0), data.labels.take(rows))
 
 
 def grad_local(objective, data: ClientDataset, theta: np.ndarray, subset: str = "full") -> np.ndarray:
@@ -268,7 +267,7 @@ def closed_form_optimum(objective, datasets, exclude_forget: bool = False) -> np
             if data.m == data.n_u:
                 raise ValueError("retained set empty")
             keep = data.retained_indices()
-            means.append(data.features[keep].mean(axis=0))
+            means.append(data.features.take(keep, axis=0).mean(axis=0))
         else:
             means.append(data.features.mean(axis=0))
     return np.mean(means, axis=0)
@@ -316,8 +315,13 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
             subset = "retained" if exclude_forget and data.m > 0 else "full"
             feats, labels = _subset_arrays(data, subset)
             groups.setdefault(feats.shape, []).append((feats, labels, slot_of[id(data)]))
-    stacks = [(np.stack(f), np.stack(y), np.array(s))
-              for f, y, s in (zip(*members) for members in groups.values())]
+    stacks = []
+    for (n, d), members in groups.items():
+        # one concatenate and a view: np.stack adds an axis to every member first
+        feats, labels, slots = zip(*members)
+        k = len(slots)
+        stacks.append((np.concatenate(feats).reshape(k, n, d),
+                       np.concatenate(labels).reshape(k, n), np.array(slots)))
     order = np.array([slot_of[id(data)] for data in datasets], dtype=np.intp)
 
     def panel(theta) -> float:
@@ -464,13 +468,20 @@ def make_logistic_task(
     test_x, test_y = sample_clean(test_size)
 
     # the largest row norm, block by block: np.vstack would copy every feature
-    feats = [x for x, _, _ in blocks] + [test_x]
-    scale = max(max(np.linalg.norm(x, axis=1).max(initial=0.0) for x in feats), 1e-12)
-    datasets = tuple(
-        ClientDataset(x / scale, y, forget) for (x, y, forget) in blocks
+    scale = max(
+        max(np.linalg.norm(x, axis=1).max(initial=0.0) for x, _, _ in blocks),
+        np.linalg.norm(test_x, axis=1).max(initial=0.0),
+        1e-12,
     )
+    # Each block is scaled in place (x /= scale has the bits of x / scale) and
+    # its slot takes the dataset's copy, so the raw block is freed before the
+    # next one is copied: the rows exist once, plus one block.
+    for i, (x, y, forget) in enumerate(blocks):
+        x /= scale
+        blocks[i] = ClientDataset(x, y, forget)
+    test_x /= scale
     objective = LogisticObjective(grad_bound=1.0)
-    return SyntheticTask(objective, datasets, test_x / scale, test_y)
+    return SyntheticTask(objective, tuple(blocks), test_x, test_y)
 
 
 def dataset_to_lines(data: ClientDataset) -> list:
