@@ -21,12 +21,10 @@ from .accountant import (
     calibrate_baseline_sigma,
     calibrate_unlearning_sigma,
     group_privacy,
-    pnsgd_step_rdp,
     rdp_to_dp,
     sensitive_visit_bound,
     token_view_rdp,
     unlearning_view_guarantee,
-    weak_convexity_mixture,
 )
 from .capacity import (
     CapacityInputs,

@@ -1,12 +1,10 @@
 """Renyi-DP accounting for token protocols on complete graphs.
 
-Building blocks: per-step RDP of projected noisy SGD, the view-level RDP
-bound for token SGD (amplification by decentralization), weak convexity of
-the Renyi divergence for routing mixtures, a Chernoff bound on the number
-of sensitive visits, conversion to (eps, delta), group privacy, and noise
-calibrators for the every-hop-noise baseline and the localized-noise
-unlearning walk. The view reports of both noisy walks come from one
-builder, ``_view_report``.
+Building blocks: the view-level RDP bound for token SGD (amplification by
+decentralization), a Chernoff bound on the number of sensitive visits,
+conversion to (eps, delta), group privacy, and noise calibrators for the
+every-hop-noise baseline and the localized-noise unlearning walk. The view
+reports of both noisy walks come from one builder, ``_view_report``.
 
 All accounting is exact arithmetic over a finite grid of Renyi orders; the
 one unknown absolute constant of the view-level bound is an explicit knob
@@ -27,9 +25,7 @@ __all__ = [
     "AccountantReport",
     "CalibrationResult",
     "CalibrationError",
-    "pnsgd_step_rdp",
     "token_view_rdp",
-    "weak_convexity_mixture",
     "rdp_to_dp",
     "sensitive_visit_bound",
     "unlearning_view_guarantee",
@@ -92,22 +88,6 @@ class SensitiveVisitCount:
     slack: float  # delta portion consumed by the Chernoff tail
 
 
-def pnsgd_step_rdp(alpha: float, L: float, sigma: float, n: int, t: int) -> float:
-    """RDP at order alpha of projected noisy SGD w.r.t. its t-th input.
-
-    Amplification by iteration: later inputs (t close to n) are less
-    protected, the bound is 2 * alpha * L^2 / (sigma^2 * (n + 1 - t)).
-    Returns inf for sigma = 0.
-    """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
-    if not 1 <= t <= n:
-        raise ValueError("step index t must lie in [1..n]")
-    if sigma == 0.0:
-        return math.inf
-    return 2.0 * alpha * L * L / (sigma * sigma * (n + 1 - t))
-
-
 def token_view_rdp(
     alpha: float,
     L: float,
@@ -133,31 +113,6 @@ def token_view_rdp(
     if sigma == 0.0:
         return math.inf
     return amp_constant * alpha * L * L * visits * math.log(n_clients) / (sigma * sigma * n_clients)
-
-
-def weak_convexity_mixture(alpha: float, c: float, divergences, weights) -> float:
-    """Renyi divergence of a routing mixture: (1 + c) * weighted mean.
-
-    Valid only when every component divergence is at most c/(alpha-1); a
-    violated precondition is rejected rather than silently bounded.
-    """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
-    if not 0.0 < c <= 1.0:
-        raise ValueError("c must lie in (0,1]")
-    divergences = list(divergences)
-    weights = list(weights)
-    if len(divergences) != len(weights):
-        raise ValueError("components and weights must align")
-    if abs(sum(weights) - 1.0) > 1e-9 or any(w < 0 for w in weights):
-        raise ValueError("weights must form a probability vector")
-    cap = c / (alpha - 1.0)
-    for d in divergences:
-        if d > cap + 1e-15:
-            raise ValueError(
-                f"component divergence {d:.6g} exceeds c/(alpha-1) = {cap:.6g}"
-            )
-    return (1.0 + c) * sum(w * d for w, d in zip(weights, divergences))
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float):

@@ -254,8 +254,12 @@ def _metric_cols(metrics: Metrics, eps_achieved, sigma_used) -> dict:
 
 
 def run_point(cfg: RunConfig, task=None) -> list:
-    """One sweep point: rows for the pre, post, and certifier phases."""
-    validate_config(cfg)
+    """One sweep point: rows for the pre, post, and certifier phases.
+
+    The walks run untraced whatever ``cfg.trace`` says: a point keeps no
+    trace, and the rows do not depend on it.
+    """
+    cfg = validate_config(cfg).replace(trace=False)
     if task is None:
         task = make_task(cfg)
     objective, datasets = task.objective, list(task.datasets)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClientDataset, CorrectionMode
+from .core import ClientDataset, CorrectionMode, _stacked_datasets
 
 __all__ = [
     "QuadraticObjective",
@@ -291,12 +291,16 @@ def global_loss(objective, datasets, theta, exclude_forget: bool = False) -> flo
 def loss_panel(objective, datasets, exclude_forget: bool = False):
     """``global_loss`` as a function of theta, for many evaluations on fixed data.
 
-    The rows each client contributes (its retained rows when
-    ``exclude_forget`` and it has a forget set) are copied once, grouped by
-    shape into ``(k, n, d)`` and ``(k, n)`` stacks; a dataset object listed
-    more than once, as in ``run_dpsgd``'s pooled list, is stacked once.
-    Each call makes one ``mean_losses`` call per group and adds the
-    clients' losses in client order with a sequential ``+=``, as
+    A dataset whose full rows are row ``i`` of a task's stacks (see
+    ``make_task``) is read there in place: each pair of stacks is evaluated
+    over the contiguous slice of rows that covers its members, so an
+    unlisted row inside it costs compute, not memory. Any other rows a
+    client contributes (its retained rows when ``exclude_forget`` and it
+    has a forget set, or a dataset built on its own) are copied once,
+    grouped by shape into ``(k, n, d)`` and ``(k, n)`` stacks. A dataset
+    object listed more than once, as in ``run_dpsgd``'s pooled list, is
+    evaluated once. Each call makes one ``mean_losses`` call per stack and
+    adds the clients' losses in client order with a sequential ``+=``, as
     ``global_loss`` does.
 
     The result is bit-identical to ``global_loss``. That rules out two
@@ -305,29 +309,45 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
     4), and ``np.add.reduceat`` does not sum a client's losses pairwise as
     ``np.mean`` does. The client total is not taken with ``np.sum``,
     ``math.fsum`` or builtin ``sum`` (compensated from Python 3.12), which
-    round differently. The panel holds one copy of the rows.
+    round differently.
     """
     slot_of = {}  # id(dataset) -> index of its loss among the distinct datasets
-    groups = {}  # row shape -> [(features, labels, slot)]
+    in_place = {}  # (id(features stack), id(labels stack)) -> (features, labels, rows, slots)
+    copied = {}  # row shape -> [(features, labels, slot)]
     for data in datasets:
-        if id(data) not in slot_of:
-            slot_of[id(data)] = len(slot_of)
-            subset = "retained" if exclude_forget and data.m > 0 else "full"
-            feats, labels = _subset_arrays(data, subset)
-            groups.setdefault(feats.shape, []).append((feats, labels, slot_of[id(data)]))
-    stacks = []
-    for (n, d), members in groups.items():
+        if id(data) in slot_of:
+            continue
+        slot = slot_of[id(data)] = len(slot_of)
+        if exclude_forget and data.m > 0:
+            feats, labels = _subset_arrays(data, "retained")
+        elif data._stack_row is None:
+            feats, labels = data.features, data.labels
+        else:
+            feats, labels = data.features.base, data.labels.base
+            key = (id(feats), id(labels))
+            _, _, rows, slots = in_place.setdefault(key, (feats, labels, [], []))
+            rows.append(data._stack_row)
+            slots.append(slot)
+            continue
+        copied.setdefault(feats.shape, []).append((feats, labels, slot))
+    blocks = []  # (features, labels, slots, rows): slot slots[j] takes loss rows[j]
+    for feats, labels, rows, slots in in_place.values():
+        rows = np.array(rows, dtype=np.intp)
+        lo, hi = rows.min(), rows.max() + 1
+        blocks.append((feats[lo:hi], labels[lo:hi], np.array(slots), rows - lo))
+    for (n, d), members in copied.items():
         # one concatenate and a view: np.stack adds an axis to every member first
         feats, labels, slots = zip(*members)
         k = len(slots)
-        stacks.append((np.concatenate(feats).reshape(k, n, d),
-                       np.concatenate(labels).reshape(k, n), np.array(slots)))
+        blocks.append((np.concatenate(feats).reshape(k, n, d),
+                       np.concatenate(labels).reshape(k, n), np.array(slots), np.arange(k)))
     order = np.array([slot_of[id(data)] for data in datasets], dtype=np.intp)
+    n_slots = len(slot_of)
 
     def panel(theta) -> float:
-        losses = np.empty(len(slot_of))
-        for feats, labels, slots in stacks:
-            losses[slots] = objective.mean_losses(theta, feats, labels)
+        losses = np.empty(n_slots)
+        for feats, labels, slots, rows in blocks:
+            losses[slots] = objective.mean_losses(theta, feats, labels)[rows]
         total = 0.0
         for loss in losses[order].tolist():
             total += loss
@@ -386,7 +406,8 @@ def make_quadratic_task(
     feasible ball used by the protocols (callers pick the ball accordingly).
     """
     shift = forget_shift * np.eye(dim)[0]
-    datasets = []
+    features = np.empty((n_clients, local_size, dim))
+    forgets = []
     for c in range(1, n_clients + 1):
         center = rng.normal(0.0, center_spread, size=dim)
         pts = _recenter(rng.normal(0.0, point_spread, size=(local_size, dim)), center)
@@ -398,10 +419,12 @@ def make_quadratic_task(
             if keep.size:
                 pts[keep] = _recenter(pts[keep], center)
             forget = tuple(int(i) for i in idx)
-        datasets.append(ClientDataset(pts, np.zeros(local_size), forget))
+        features[c - 1] = pts
+        forgets.append(forget)
     objective = QuadraticObjective(grad_bound=grad_bound)
     test = rng.normal(0.0, point_spread, size=(max(1, local_size), dim))
-    return SyntheticTask(objective, tuple(datasets), test, np.zeros(test.shape[0]))
+    datasets = _stacked_datasets(features, np.zeros((n_clients, local_size)), forgets)
+    return SyntheticTask(objective, datasets, test, np.zeros(test.shape[0]))
 
 
 def make_logistic_task(
@@ -452,7 +475,13 @@ def make_logistic_task(
             got += take
         return out
 
-    blocks = []
+    # Each client's rows go into its slot of one (N, n, d) features stack and
+    # one (N, n) labels stack as soon as they are drawn, and the largest row
+    # norm is tracked block by block, so the rows exist once, plus one block.
+    features = np.empty((n_clients, local_size, dim))
+    labels = np.empty((n_clients, local_size))
+    forgets = []
+    top = 0.0
     for c in range(1, n_clients + 1):
         x, y = sample_clean(local_size)
         forget = ()
@@ -464,24 +493,18 @@ def make_logistic_task(
             x[idx] = xb
             y[idx] = 1.0  # flipped: true label is -1 by construction
             forget = tuple(int(i) for i in idx)
-        blocks.append((x, y, forget))
+        top = max(top, np.linalg.norm(x, axis=1).max(initial=0.0))
+        features[c - 1] = x
+        labels[c - 1] = y
+        forgets.append(forget)
+        del x, y  # freed before the next block is drawn
     test_x, test_y = sample_clean(test_size)
-
-    # the largest row norm, block by block: np.vstack would copy every feature
-    scale = max(
-        max(np.linalg.norm(x, axis=1).max(initial=0.0) for x, _, _ in blocks),
-        np.linalg.norm(test_x, axis=1).max(initial=0.0),
-        1e-12,
-    )
-    # Each block is scaled in place (x /= scale has the bits of x / scale) and
-    # its slot takes the dataset's copy, so the raw block is freed before the
-    # next one is copied: the rows exist once, plus one block.
-    for i, (x, y, forget) in enumerate(blocks):
-        x /= scale
-        blocks[i] = ClientDataset(x, y, forget)
+    scale = max(top, np.linalg.norm(test_x, axis=1).max(initial=0.0), 1e-12)
+    # one in-place pass over the stack has the bits of x / scale per block
+    features /= scale
     test_x /= scale
     objective = LogisticObjective(grad_bound=1.0)
-    return SyntheticTask(objective, tuple(blocks), test_x, test_y)
+    return SyntheticTask(objective, _stacked_datasets(features, labels, forgets), test_x, test_y)
 
 
 def dataset_to_lines(data: ClientDataset) -> list:

@@ -181,10 +181,9 @@ def _projected_step(theta, move, eta, region, ascent=False):
     new = project(theta + sign * eta * move, region)
     if __debug__:
         # non-expansive projection: from a feasible point the hop never
-        # exceeds the raw move
-        assert not region.contains(theta) or (
-            _norm(new - theta) <= eta * _norm(move) + 1e-9
-        )
+        # exceeds the raw move (the cheaper test first: containment is only
+        # checked when the hop is longer)
+        assert _norm(new - theta) <= eta * _norm(move) + 1e-9 or not region.contains(theta)
     return new
 
 

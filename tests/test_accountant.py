@@ -16,33 +16,11 @@ from walkforget import (
     calibrate_baseline_sigma,
     calibrate_unlearning_sigma,
     group_privacy,
-    pnsgd_step_rdp,
     rdp_to_dp,
     sensitive_visit_bound,
     token_view_rdp,
     unlearning_view_guarantee,
-    weak_convexity_mixture,
 )
-
-
-class TestPnsgdStepRdp:
-    def test_worked_example(self):
-        # 2 * 2 * 1 / (1 * (10 + 1 - 1)) = 0.4
-        assert pnsgd_step_rdp(2.0, 1.0, 1.0, 10, 1) == pytest.approx(0.4)
-
-    def test_last_step_no_amplification(self):
-        alpha, L, sigma, n = 3.0, 1.5, 2.0, 12
-        assert pnsgd_step_rdp(alpha, L, sigma, n, n) == pytest.approx(
-            2 * alpha * L * L / (sigma * sigma)
-        )
-
-    def test_sigma_scaling(self):
-        a = pnsgd_step_rdp(2.0, 1.0, 1.0, 10, 4)
-        b = pnsgd_step_rdp(2.0, 1.0, 2.0, 10, 4)
-        assert b == pytest.approx(a / 4)
-
-    def test_sigma_zero_flagged_infinite(self):
-        assert math.isinf(pnsgd_step_rdp(2.0, 1.0, 0.0, 10, 1))
 
 
 class TestTokenViewRdp:
@@ -61,28 +39,6 @@ class TestTokenViewRdp:
 
     def test_sigma_zero(self):
         assert math.isinf(token_view_rdp(2.0, 1.0, 0.0, 5, 10))
-
-
-class TestWeakConvexityMixture:
-    def test_all_equal(self):
-        val = weak_convexity_mixture(2.0, 0.5, [0.2, 0.2, 0.2], [0.3, 0.3, 0.4])
-        assert val == pytest.approx(1.5 * 0.2)
-
-    def test_worked_example(self):
-        val = weak_convexity_mixture(2.0, 1.0, [0.1, 0.3], [0.5, 0.5])
-        assert val == pytest.approx(0.4)
-
-    def test_point_mass(self):
-        assert weak_convexity_mixture(2.0, 0.8, [0.4], [1.0]) == pytest.approx(1.8 * 0.4)
-
-    def test_violated_precondition_rejected(self):
-        # cap is c/(alpha-1) = 0.25; a component above it must be rejected
-        with pytest.raises(ValueError, match="exceeds"):
-            weak_convexity_mixture(5.0, 1.0, [0.3, 0.1], [0.5, 0.5])
-
-    def test_bad_weights(self):
-        with pytest.raises(ValueError):
-            weak_convexity_mixture(2.0, 1.0, [0.1, 0.1], [0.7, 0.7])
 
 
 class TestRdpToDp:

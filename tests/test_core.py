@@ -81,6 +81,76 @@ class TestClientDataset:
         assert data.digest == ClientDataset(rows, np.ones(6), (2,)).digest
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _foreign_buffer(rows):
+    # read-only, but the memory belongs to a bytearray that stays writeable
+    buf = bytearray(rows.tobytes())
+    return _frozen(np.frombuffer(buf).reshape(rows.shape)), buf
+
+
+class TestFrozenInput:
+    """A frozen input is kept; anything a later write could reach is copied."""
+
+    ROWS = np.arange(24.0).reshape(6, 4) / 7.0
+
+    def test_rows_of_a_frozen_stack_are_kept(self):
+        feats = _frozen(np.stack([self.ROWS, 2 * self.ROWS, 3 * self.ROWS]))
+        labels = _frozen(np.arange(18.0).reshape(3, 6).copy())
+        data = ClientDataset(feats[1], labels[1], (2,))
+        assert data.features.base is feats and data.labels.base is labels
+        np.testing.assert_array_equal(data.features, 2 * self.ROWS)
+        assert data._stack_row == 1
+        assert data.digest == ClientDataset(2 * self.ROWS, np.arange(6.0, 12.0), (2,)).digest
+        with pytest.raises(ValueError):
+            data.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.labels[0] = 1.0
+
+    def test_labels_from_another_row_are_not_a_stack_row(self):
+        feats = _frozen(np.stack([self.ROWS, self.ROWS]))
+        labels = _frozen(np.zeros((2, 6)))
+        assert ClientDataset(feats[1], labels[0])._stack_row is None
+        assert ClientDataset(feats[1], labels[1])._stack_row == 1
+        assert ClientDataset(self.ROWS, labels[1])._stack_row is None
+
+    @pytest.mark.parametrize("kind", ["writeable", "F", "float32", "view of writeable", "foreign"])
+    def test_other_input_is_copied(self, kind):
+        want = self.ROWS.astype(np.float32) if kind == "float32" else self.ROWS
+        keep_alive = None
+        if kind == "writeable":
+            source = self.ROWS.copy()
+        elif kind == "F":
+            source = _frozen(np.asfortranarray(self.ROWS))
+        elif kind == "float32":
+            source = _frozen(want.copy())
+        elif kind == "view of writeable":
+            keep_alive = self.ROWS.copy()
+            source = _frozen(keep_alive[:])
+        else:
+            source, keep_alive = _foreign_buffer(self.ROWS)
+        data = ClientDataset(source, np.ones(6))
+        assert not np.shares_memory(data.features, source)
+        assert data.features.flags.c_contiguous and not data.features.flags.writeable
+        assert data.features.dtype == np.float64
+        if kind == "writeable":
+            source[:] = -1.0
+        elif kind == "view of writeable":
+            keep_alive[:] = -1.0
+        elif kind == "foreign":
+            keep_alive[:] = bytes(len(keep_alive))
+        np.testing.assert_array_equal(data.features, want)
+
+    def test_writeable_labels_are_copied(self):
+        labels = np.ones(6)
+        data = ClientDataset(self.ROWS, labels)
+        labels[:] = 0.0
+        np.testing.assert_array_equal(data.labels, np.ones(6))
+
+
 class TestValidateConfig:
     def test_bad_p(self):
         bad = config_violations(RunConfig(p=1.2))

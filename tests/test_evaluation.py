@@ -156,6 +156,18 @@ class TestExperimentDriver:
             run_unlearning_experiment(spec)
         assert ran == []
 
+    def test_traced_point_runs_untraced(self, monkeypatch):
+        # a point keeps no trace, so its walks build no loss panel
+        from walkforget import make_task, protocols, run_point
+
+        cfg = _tiny_cfg(sigma=None)
+        task = make_task(cfg)
+        untraced = run_point(cfg, task)
+        built = []
+        monkeypatch.setattr(protocols, "loss_panel", lambda *args, **kw: built.append(args))
+        assert run_point(cfg.replace(trace=True), task) == untraced
+        assert built == []
+
 
 class TestCertifierProximity:
     def test_unlearning_moves_toward_certifier(self):

@@ -334,6 +334,27 @@ def test_make_logistic_task_peak_is_the_task_plus_two_client_blocks():
     assert peak - output <= 2 * local_size * dim * 8
 
 
+@pytest.mark.parametrize("case", sorted(TASK_CASES))
+def test_make_task_datasets_are_views_of_two_stacks(case):
+    cfg = RunConfig(**TASK_CASES[case])
+    task = make_task(cfg)
+    feats, labels = task.datasets[0].features.base, task.datasets[0].labels.base
+    assert feats.shape == (cfg.n_clients, cfg.local_size, cfg.dim)
+    assert labels.shape == (cfg.n_clients, cfg.local_size)
+    assert not feats.flags.writeable and not labels.flags.writeable
+    for i, data in enumerate(task.datasets):
+        assert data.features.base is feats and data.labels.base is labels
+        np.testing.assert_array_equal(data.features, feats[i])
+        # the recorded row agrees with the one read back from the data addresses
+        assert data._stack_row == i
+        assert ClientDataset(data.features, data.labels, data.forget_indices)._stack_row == i
+    data = task.datasets[-1]
+    with pytest.raises(ValueError):
+        data.features[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        data.labels[0] = 0.0
+
+
 @st.composite
 def client_lists(draw):
     """Up to 24 clients of sizes 1-40, d in 1-64, forget sets at some of them.
@@ -389,3 +410,46 @@ class TestLossPanel:
         data = ClientDataset(np.ones((3, 2)), np.ones(3), (0, 1, 2))
         with pytest.raises(ValueError, match="retained set empty"):
             loss_panel(QuadraticObjective(), [data], exclude_forget=True)
+
+
+def _stacked_lists():
+    """Dataset lists over generated tasks, as the walks and the certifier pass them."""
+    a = make_logistic_task(9, 6, 13, 4, 3, substream(91, "data"), test_size=5)
+    b = make_logistic_task(5, 6, 13, 2, 1, substream(92, "data"), test_size=5)
+    c = make_logistic_task(4, 6, 7, 0, 1, substream(93, "data"), test_size=5)
+    q = make_quadratic_task(7, 6, 13, 3, 2, substream(94, "data"))
+    ds = list(a.datasets)
+    order = substream(95, "perm").permutation(len(ds))
+    certifier = list(ds)
+    certifier[2] = ds[2].without_forget()
+    yield "task", a.objective, ds
+    yield "permuted", a.objective, [ds[i] for i in order]
+    yield "sublist", a.objective, ds[4:7] + ds[1:2]
+    yield "certifier", a.objective, certifier
+    yield "two tasks", a.objective, ds[:4] + list(b.datasets) + ds[4:] + list(c.datasets)
+    yield "repeats", a.objective, [ds[5], ds[0], ds[5], ds[2].with_forget((0, 1))]
+    yield "quadratic", q.objective, list(q.datasets)[::-1] + [q.datasets[1].without_forget()]
+
+
+@pytest.mark.parametrize("exclude_forget", [False, True])
+def test_panel_over_stacked_tasks_is_global_loss_bit_for_bit(exclude_forget):
+    thetas = [scale * substream(96, "theta").normal(size=6) for scale in (1e-3, 1.0, 30.0)]
+    for name, objective, datasets in _stacked_lists():
+        panel = loss_panel(objective, datasets, exclude_forget)
+        for theta in thetas:
+            assert panel(theta) == global_loss(objective, datasets, theta, exclude_forget), name
+
+
+def test_panel_reads_a_stacked_task_in_place():
+    # N=2000 clients of 20 rows in 20 dimensions: 6.7 MB of features and labels
+    task = make_logistic_task(2000, 20, 20, 5, 1, substream(97, "data"), test_size=10)
+    datasets = list(task.datasets)
+    rows = sum(d.features.nbytes + d.labels.nbytes for d in datasets)
+    theta = substream(98, "theta").normal(size=20)
+    tracemalloc.start()
+    try:
+        loss_panel(task.objective, datasets, exclude_forget=True)(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows / 10
