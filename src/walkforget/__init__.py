@@ -66,9 +66,6 @@ from .evaluation import (
 from .network import (
     Message,
     Transcript,
-    View,
-    extract_view,
-    first_observation_param,
     route_restart,
     route_restart_many,
     route_uniform,

@@ -62,12 +62,15 @@ def _bounded_get(store, key, capacity: int, make):
     return value
 
 
+_LE_F8 = np.dtype("<f8")
+
+
 def params_hash(params: np.ndarray) -> str:
     """Hex digest of a parameter vector (little-endian float64 bytes).
 
     sha256 reads the contiguous array's buffer; no bytes copy is made.
     """
-    return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8")).hexdigest()[:16]
+    return hashlib.sha256(np.ascontiguousarray(params, dtype=_LE_F8)).hexdigest()[:16]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -291,7 +294,10 @@ class ClientDataset:
     def without_forget(self) -> "ClientDataset":
         """The dataset after deleting the forget subset."""
         keep = self.retained_indices()
-        return ClientDataset(self.features.take(keep, axis=0), self.labels.take(keep), ())
+        rows = self.features.take(keep, axis=0), self.labels.take(keep)
+        for arr in rows:  # frozen, so the constructor keeps them uncopied
+            arr.setflags(write=False)
+        return ClientDataset(*rows, ())
 
     def with_forget(self, indices) -> "ClientDataset":
         return ClientDataset(self.features, self.labels, tuple(indices))

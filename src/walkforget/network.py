@@ -1,4 +1,4 @@
-"""Token routing, message transcripts, and per-observer views.
+"""Token routing and message transcripts.
 
 The observation model: a client sees exactly the messages it sent or
 received, nothing else. Routing comes in two flavors, a uniform walk to
@@ -14,17 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph
+from .core import Graph, params_hash
 
 __all__ = [
     "Message",
     "Transcript",
-    "View",
     "route_uniform",
     "route_restart",
     "route_restart_many",
-    "first_observation_param",
-    "extract_view",
 ]
 
 
@@ -32,8 +29,8 @@ __all__ = [
 class Message:
     """One token hop: sender forwarded the model to receiver at this round.
 
-    Slotted: a walk keeps one per hop, and on CPython 3.11 a slotted
-    instance takes 72 bytes where one with a ``__dict__`` takes 112.
+    ``payload_hash`` is ``core.params_hash`` of the model after the hop. A
+    transcript keeps its hops as columns and builds a message on each read.
     """
 
     round: int
@@ -43,33 +40,72 @@ class Message:
     payload_hash: str
 
 
-@dataclass(frozen=True)
 class Transcript:
-    messages: tuple
+    """A walk's hops as columns; payload hashes are made on each read.
 
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
-        rounds = [m.round for m in self.messages]
-        if rounds != sorted(rounds) or len(set(rounds)) != len(rounds):
+    The payloads are a walk's iterates, an ``(H, d)`` read-only array, or the
+    hash strings of the messages or lines the transcript was built from.
+    Nothing read is kept. Two transcripts are equal when their messages are.
+    """
+
+    __slots__ = ("rounds", "senders", "receivers", "at_target", "_payloads")
+
+    def __init__(self, messages):
+        messages = tuple(messages)
+        rounds = tuple(m.round for m in messages)
+        if any(a >= b for a, b in zip(rounds, rounds[1:])):
             raise ValueError("rounds must be strictly increasing")
+        self.rounds = rounds
+        self.senders = tuple(m.sender for m in messages)
+        self.receivers = tuple(m.receiver for m in messages)
+        self.at_target = tuple(m.at_target for m in messages)
+        self._payloads = tuple(m.payload_hash for m in messages)
 
-    def __len__(self) -> int:
-        return len(self.messages)
+    @classmethod
+    def _of_walk(cls, senders, receivers, target: int, iterates: np.ndarray) -> "Transcript":
+        """A walk's transcript: hop ``t`` is round ``t`` and left the model ``iterates[t - 1]``."""
+        out = cls.__new__(cls)
+        out.rounds = range(1, len(receivers) + 1)
+        out.senders, out.receivers = tuple(senders), tuple(receivers)
+        out.at_target = tuple(cur == target for cur in receivers)
+        iterates.setflags(write=False)
+        out._payloads = iterates
+        return out
+
+    def _hashes(self):
+        if isinstance(self._payloads, np.ndarray):
+            return map(params_hash, self._payloads)
+        return iter(self._payloads)
 
     def __iter__(self):
-        return iter(self.messages)
+        return map(Message, self.rounds, self.senders, self.receivers, self.at_target,
+                   self._hashes())
+
+    @property
+    def messages(self) -> tuple:
+        return tuple(self)
+
+    def __len__(self) -> int:
+        return len(self.receivers)
+
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return self.messages == other.messages
 
     def visit_count(self, client: int) -> int:
-        return sum(1 for m in self.messages if m.receiver == client)
+        return self.receivers.count(client)
 
     def target_visits(self) -> int:
-        return sum(1 for m in self.messages if m.at_target)
+        return sum(map(bool, self.at_target))
 
     def to_lines(self) -> list:
         """Line-delimited export: round, sender, receiver, at_u flag, hash."""
         return [
-            f"{m.round},{m.sender},{m.receiver},{int(m.at_target)},{m.payload_hash}"
-            for m in self.messages
+            f"{t},{snd},{rcv},{int(at_u)},{digest}"
+            for t, snd, rcv, at_u, digest in zip(
+                self.rounds, self.senders, self.receivers, self.at_target, self._hashes()
+            )
         ]
 
     @staticmethod
@@ -82,23 +118,6 @@ class Transcript:
             rnd, snd, rcv, flag, digest = line.split(",")
             msgs.append(Message(int(rnd), int(snd), int(rcv), bool(int(flag)), digest))
         return Transcript(tuple(msgs))
-
-
-@dataclass(frozen=True)
-class View:
-    """The subsequence of a transcript visible to one observer."""
-
-    observer: int
-    messages: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
-        for m in self.messages:
-            if m.sender != self.observer and m.receiver != self.observer:
-                raise ValueError("view contains a message not touching observer")
-
-    def __len__(self) -> int:
-        return len(self.messages)
 
 
 def route_uniform(current: int, graph: Graph, rng: np.random.Generator) -> int:
@@ -149,30 +168,3 @@ def route_restart_many(
     vals[vals > n] -= n
     vals[rng.random(size) < p] = target
     return vals
-
-
-def first_observation_param(p: float, n_clients: int) -> float:
-    """Per-hop probability q = (1-p)/(N-1) that an observer first sees the token.
-
-    q is the parameter of the geometric first-observation delay for any
-    observer other than the unlearning client.
-    """
-    if n_clients < 2:
-        raise ValueError("need at least 2 clients")
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0,1); p=1 means the delay is infinite")
-    return (1.0 - p) / (n_clients - 1)
-
-
-def extract_view(transcript, observer: int) -> View:
-    """Messages with the observer as an endpoint, in transcript order.
-
-    Accepts a Transcript or a View; re-extracting from a view with the same
-    observer is the identity.
-    """
-    picked = tuple(
-        m
-        for m in transcript.messages
-        if m.sender == observer or m.receiver == observer
-    )
-    return View(observer=observer, messages=picked)

@@ -54,11 +54,11 @@ from .core import (
     RunConfig,
     _bounded_get,
     _norm,
-    params_hash,
+    params_hash,  # noqa: F401  (perfbench's clock test checks this binding's restore)
     substream,
     validate_config,
 )
-from .network import Message, Transcript, route_restart, route_uniform
+from .network import Transcript, route_restart, route_uniform
 from .objectives import _correction, _correction_draw, _rows_grad, _subset_arrays, loss_panel
 from .optimizer import (
     _descent_draw,
@@ -240,9 +240,11 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom
 
     ``_schedule`` draws each hop's holder, minibatch, noise row and
     stepsize; ``step(client, theta, eta, pick, noise)`` returns the model
-    after that holder's update.
+    after that holder's update. The transcript keeps a copy of each hop's
+    model and hashes it only when read.
     """
-    messages = []
+    senders, receivers = [], []
+    iterates = np.empty((hops, theta.shape[0]))
     trace = None
     if cfg.trace:
         trace = []
@@ -252,13 +254,15 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom
     hops_drawn = _schedule(cfg, label, hops, route, draw, theta.shape[0], r_dom, G)
     for t, prev, cur, eta_t, pick, noise in hops_drawn:
         theta = step(cur, theta, eta_t, pick, noise)
-        at_u = cur == cfg.unlearn_client
-        messages.append(Message(t, prev, cur, at_u, params_hash(theta)))
+        senders.append(prev)
+        receivers.append(cur)
+        iterates[t - 1] = theta
         if trace is not None:
+            at_u = cur == cfg.unlearn_client
             trace.append(_trace_row(objective, retained_loss, forget_rows, t, cur, theta, at_u))
     return RunResult(
         final=ModelState(theta),
-        transcript=Transcript(tuple(messages)),
+        transcript=Transcript._of_walk(senders, receivers, cfg.unlearn_client, iterates),
         report=report,
         trace=tuple(trace) if trace is not None else None,
     )

@@ -1,5 +1,7 @@
 """Core types, config validation, substreams, and config file round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,22 @@ class TestFrozenInput:
         data = ClientDataset(self.ROWS, labels)
         labels[:] = 0.0
         np.testing.assert_array_equal(data.labels, np.ones(6))
+
+    def test_without_forget_keeps_the_rows_it_takes(self):
+        # the certifier's retained set at the sweep-p shape: the taken rows
+        # are the dataset's, not copied a second time
+        rng = substream(12, "rows")
+        data = ClientDataset(rng.normal(size=(2000, 100)), rng.normal(size=2000), range(0, 2000, 20))
+        tracemalloc.start()
+        try:
+            kept = data.without_forget()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = kept.features.nbytes + kept.labels.nbytes
+        assert kept.n_u == 1900 and not kept.features.flags.writeable
+        np.testing.assert_array_equal(kept.features, np.delete(data.features, data.forget_indices, 0))
+        assert peak < 1.2 * output
 
 
 class TestValidateConfig:

@@ -1,4 +1,6 @@
-"""Routing laws, transcripts, views, and the geometric mixing property."""
+"""Routing laws, transcripts, and the geometric mixing property."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -6,13 +8,18 @@ import pytest
 from walkforget import (
     Graph,
     Message,
+    RunConfig,
     Transcript,
-    extract_view,
-    first_observation_param,
+    make_task,
+    protocols,
     route_restart,
     route_uniform,
+    run_private_baseline,
+    run_token_training,
+    run_unlearning,
     substream,
 )
+from walkforget.core import params_hash
 
 # chi-square critical value at the 0.001 level with 20 degrees of freedom
 CHI2_999_DOF20 = 45.3147
@@ -63,22 +70,11 @@ class TestRouteRestart:
             assert abs(np.mean(draws == c) - 0.1) < 0.002
 
 
-class TestFirstObservationParam:
-    def test_values(self):
-        assert first_observation_param(0.1, 10) == pytest.approx(0.1)
-        assert first_observation_param(0.0, 2) == pytest.approx(1.0)
-        assert first_observation_param(0.5, 11) == pytest.approx(0.05)
-
-    def test_p_one_is_an_error(self):
-        with pytest.raises(ValueError):
-            first_observation_param(1.0, 10)
-
-
 class TestGeometricMixing:
     def test_delay_distribution(self):
         # first time the restart walk lands on a fixed observer != target
         p, n = 0.1, 10
-        q = first_observation_param(p, n)
+        q = (1 - p) / (n - 1)  # per-hop chance that the observer is drawn
         g = Graph.complete(n)
         rng = substream(6, "mixing")
         observer = 7
@@ -111,38 +107,6 @@ def _walk_transcript(n_clients=6, hops=1000, seed=11):
     return Transcript(tuple(msgs))
 
 
-class TestViews:
-    def test_empty_view(self):
-        tr = Transcript((Message(1, 1, 2, False, "aa"),))
-        assert len(extract_view(tr, 3)) == 0
-
-    def test_single_message(self):
-        tr = Transcript((Message(1, 1, 2, False, "aa"),))
-        view = extract_view(tr, 2)
-        assert len(view) == 1 and view.messages[0].receiver == 2
-
-    def test_brute_force_recount(self):
-        tr = _walk_transcript()
-        for observer in (1, 3, 6):
-            view = extract_view(tr, observer)
-            manual = sum(
-                1 for m in tr.messages if m.sender == observer or m.receiver == observer
-            )
-            assert len(view) == manual
-
-    def test_union_covers_transcript_twice(self):
-        tr = _walk_transcript()
-        total = sum(len(extract_view(tr, c)) for c in range(1, 7))
-        # every edge-walk message has two distinct endpoints
-        assert total == 2 * len(tr)
-
-    def test_idempotent(self):
-        tr = _walk_transcript()
-        view = extract_view(tr, 4)
-        again = extract_view(view, 4)
-        assert again.messages == view.messages
-
-
 class TestTranscriptExport:
     def test_line_round_trip(self):
         tr = _walk_transcript(hops=25)
@@ -152,3 +116,94 @@ class TestTranscriptExport:
     def test_rounds_strictly_increasing(self):
         with pytest.raises(ValueError):
             Transcript((Message(2, 1, 2, False, "aa"), Message(1, 2, 3, False, "bb")))
+
+
+WALK_CFG = RunConfig(n_clients=4, dim=3, local_size=12, forget_size=3, seed=5, unlearn_client=2,
+                     p=0.3, s=2, batch_size=3, train_hops=40, unlearn_hops=40, sigma=0.4,
+                     domain_radius=1.0, trust_radius=0.3, eta=0.4)
+WALK_KINDS = ("train", "baseline", "unlearn")
+
+
+@pytest.fixture(scope="module")
+def walk_task():
+    task = make_task(WALK_CFG)
+    trained = run_token_training(WALK_CFG, task.objective, list(task.datasets))
+    return task, trained
+
+
+def _walk(kind, walk_task):
+    task, trained = walk_task
+    objective, datasets = task.objective, list(task.datasets)
+    if kind == "train":
+        return run_token_training(WALK_CFG, objective, datasets)
+    if kind == "baseline":
+        return run_private_baseline(WALK_CFG, objective, datasets)
+    return run_unlearning(WALK_CFG, objective, datasets, trained.final)
+
+
+def _count_hashes(monkeypatch) -> list:
+    """Count ``params_hash`` calls made through any walkforget module's binding of it."""
+    calls = []
+
+    def counted(params):
+        calls.append(1)
+        return params_hash(params)
+
+    for name, module in list(sys.modules.items()):
+        if name == "walkforget" or name.startswith("walkforget."):
+            for attr, value in list(vars(module).items()):
+                if value is params_hash:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestWalkTranscript:
+    """A walk keeps its hops as columns and hashes its iterates only when read."""
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    def test_walk_hashes_nothing(self, kind, walk_task, monkeypatch):
+        calls = _count_hashes(monkeypatch)
+        transcript = _walk(kind, walk_task).transcript
+        assert not calls
+        transcript.to_lines()  # the counter sees the hashes a read makes
+        assert len(calls) == len(transcript) == 40
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    def test_counts_hash_nothing(self, kind, walk_task, monkeypatch):
+        transcript = _walk(kind, walk_task).transcript
+        calls = _count_hashes(monkeypatch)
+        counts = [transcript.visit_count(c) for c in range(1, WALK_CFG.n_clients + 1)]
+        size, at_target = len(transcript), transcript.target_visits()
+        assert not calls
+        msgs = transcript.messages
+        assert size == len(msgs) == sum(counts)
+        assert counts == [sum(m.receiver == c for m in msgs) for c in range(1, 5)]
+        assert at_target == sum(m.at_target for m in msgs) == counts[WALK_CFG.unlearn_client - 1]
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    def test_line_round_trip(self, kind, walk_task):
+        transcript = _walk(kind, walk_task).transcript
+        again = Transcript.from_lines(transcript.to_lines())
+        assert again == transcript
+        assert again.to_lines() == transcript.to_lines()
+
+    def test_iterates_are_copies(self, walk_task):
+        # a step that updates one array in place and returns it every hop:
+        # a transcript holding that array, not copies, would hash its last value
+        task, _ = walk_task
+        theta, hashes = np.zeros(WALK_CFG.dim), []
+
+        def step(client, theta, eta, pick, noise):
+            theta += eta
+            hashes.append(params_hash(theta))
+            return theta
+
+        result = protocols._walk(
+            WALK_CFG, task.objective, list(task.datasets), theta, 30, "copies",
+            lambda prev, rng, size: rng.integers(1, 5, size=size).tolist(),
+            lambda client: (1, 0, 0.0), step, r_dom=2.0, G=1.0,
+        )
+        theta[:] = -1.0
+        assert [line.rsplit(",", 1)[1] for line in result.transcript.to_lines()] == hashes
+        assert len(set(hashes)) == 30
+        assert result.final.params[0] == pytest.approx(30 * WALK_CFG.eta)

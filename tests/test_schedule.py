@@ -197,7 +197,11 @@ def _replay(cfg, theta, hops, label, next_holder, step):
 
 
 def _walk_hashes(result):
-    return [(m.round, m.sender, m.receiver, m.payload_hash) for m in result.transcript]
+    """Each hop's (round, sender, receiver, hash), read from the messages and from the lines."""
+    hops = [(m.round, m.sender, m.receiver, m.payload_hash) for m in result.transcript]
+    lines = [line.split(",") for line in result.transcript.to_lines()]
+    assert [(int(t), int(snd), int(rcv), digest) for t, snd, rcv, _, digest in lines] == hops
+    return hops
 
 
 REPLAY_CASES = {
