@@ -62,15 +62,12 @@ def _bounded_get(store, key, capacity: int, make):
     return value
 
 
-_LE_F8 = np.dtype("<f8")
-
-
 def params_hash(params: np.ndarray) -> str:
     """Hex digest of a parameter vector (little-endian float64 bytes).
 
     sha256 reads the contiguous array's buffer; no bytes copy is made.
     """
-    return hashlib.sha256(np.ascontiguousarray(params, dtype=_LE_F8)).hexdigest()[:16]
+    return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8")).hexdigest()[:16]
 
 
 def _norm(x: np.ndarray) -> float:

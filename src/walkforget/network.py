@@ -43,33 +43,31 @@ class Message:
 class Transcript:
     """A walk's hops as columns; payload hashes are made on each read.
 
-    The payloads are a walk's iterates, an ``(H, d)`` read-only array, or the
-    hash strings of the messages or lines the transcript was built from.
-    Nothing read is kept. Two transcripts are equal when their messages are.
+    The payloads are a narrow walk's iterates, an ``(H, d)`` array, or hash
+    strings: a wide walk's, or those of the messages or lines it was built
+    from. Two transcripts are equal when their messages are.
     """
 
     __slots__ = ("rounds", "senders", "receivers", "at_target", "_payloads")
 
     def __init__(self, messages):
         messages = tuple(messages)
-        rounds = tuple(m.round for m in messages)
-        if any(a >= b for a, b in zip(rounds, rounds[1:])):
+        self.rounds = tuple(m.round for m in messages)
+        if any(a >= b for a, b in zip(self.rounds, self.rounds[1:])):
             raise ValueError("rounds must be strictly increasing")
-        self.rounds = rounds
         self.senders = tuple(m.sender for m in messages)
         self.receivers = tuple(m.receiver for m in messages)
         self.at_target = tuple(m.at_target for m in messages)
         self._payloads = tuple(m.payload_hash for m in messages)
 
     @classmethod
-    def _of_walk(cls, senders, receivers, target: int, iterates: np.ndarray) -> "Transcript":
-        """A walk's transcript: hop ``t`` is round ``t`` and left the model ``iterates[t - 1]``."""
+    def _of_walk(cls, senders, receivers, target: int, payloads) -> "Transcript":
+        """Hop ``t`` is round ``t``; ``payloads[t - 1]`` is its iterate, or that one's hash."""
         out = cls.__new__(cls)
         out.rounds = range(1, len(receivers) + 1)
         out.senders, out.receivers = tuple(senders), tuple(receivers)
         out.at_target = tuple(cur == target for cur in receivers)
-        iterates.setflags(write=False)
-        out._payloads = iterates
+        out._payloads = payloads
         return out
 
     def _hashes(self):

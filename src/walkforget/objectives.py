@@ -405,7 +405,7 @@ def make_quadratic_task(
     ``center_spread`` alone. ``grad_bound`` is the declared L, valid on the
     feasible ball used by the protocols (callers pick the ball accordingly).
     """
-    shift = forget_shift * np.eye(dim)[0]
+    shift = forget_shift * np.eye(1, dim)[0]
     features = np.empty((n_clients, local_size, dim))
     forgets = []
     for c in range(1, n_clients + 1):

@@ -54,7 +54,7 @@ from .core import (
     RunConfig,
     _bounded_get,
     _norm,
-    params_hash,  # noqa: F401  (perfbench's clock test checks this binding's restore)
+    params_hash,
     substream,
     validate_config,
 )
@@ -234,17 +234,21 @@ def _schedule(cfg, label, hops, route, draw, dim, r_dom, G):
         prev = holders[-1]
 
 
+_KEPT_DIM = 16  # widest model a walk copies per hop: 8·d B, below a Message + hash
+
+
 def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom, G,
           report=None):
     """The hop loop of every protocol: step, log.
 
     ``_schedule`` draws each hop's holder, minibatch, noise row and
     stepsize; ``step(client, theta, eta, pick, noise)`` returns the model
-    after that holder's update. The transcript keeps a copy of each hop's
-    model and hashes it only when read.
+    after that holder's update. At ``d <= _KEPT_DIM`` the transcript keeps a
+    copy of each hop's model and hashes it when read; wider, at the hop.
     """
     senders, receivers = [], []
-    iterates = np.empty((hops, theta.shape[0]))
+    keep = theta.shape[0] <= _KEPT_DIM
+    payloads = np.empty((hops, theta.shape[0])) if keep else [None] * hops
     trace = None
     if cfg.trace:
         trace = []
@@ -256,13 +260,13 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom
         theta = step(cur, theta, eta_t, pick, noise)
         senders.append(prev)
         receivers.append(cur)
-        iterates[t - 1] = theta
+        payloads[t - 1] = theta if keep else params_hash(theta)
         if trace is not None:
             at_u = cur == cfg.unlearn_client
             trace.append(_trace_row(objective, retained_loss, forget_rows, t, cur, theta, at_u))
     return RunResult(
         final=ModelState(theta),
-        transcript=Transcript._of_walk(senders, receivers, cfg.unlearn_client, iterates),
+        transcript=Transcript._of_walk(senders, receivers, cfg.unlearn_client, payloads),
         report=report,
         trace=tuple(trace) if trace is not None else None,
     )

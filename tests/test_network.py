@@ -1,6 +1,7 @@
 """Routing laws, transcripts, and the geometric mixing property."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,10 +109,13 @@ def _walk_transcript(n_clients=6, hops=1000, seed=11):
 
 
 class TestTranscriptExport:
-    def test_line_round_trip(self):
-        tr = _walk_transcript(hops=25)
-        again = Transcript.from_lines(tr.to_lines())
-        assert again == tr
+    def test_line_round_trip(self, walk_task):
+        # a transcript of messages, and one of each protocol's walks
+        walks = [_walk(kind, walk_task).transcript for kind in WALK_KINDS]
+        for tr in (_walk_transcript(hops=25), *walks):
+            again = Transcript.from_lines(tr.to_lines())
+            assert again == tr
+            assert again.to_lines() == tr.to_lines()
 
     def test_rounds_strictly_increasing(self):
         with pytest.raises(ValueError):
@@ -180,18 +184,12 @@ class TestWalkTranscript:
         assert counts == [sum(m.receiver == c for m in msgs) for c in range(1, 5)]
         assert at_target == sum(m.at_target for m in msgs) == counts[WALK_CFG.unlearn_client - 1]
 
-    @pytest.mark.parametrize("kind", WALK_KINDS)
-    def test_line_round_trip(self, kind, walk_task):
-        transcript = _walk(kind, walk_task).transcript
-        again = Transcript.from_lines(transcript.to_lines())
-        assert again == transcript
-        assert again.to_lines() == transcript.to_lines()
-
-    def test_iterates_are_copies(self, walk_task):
+    @pytest.mark.parametrize("dim", [WALK_CFG.dim, protocols._KEPT_DIM + 1])
+    def test_iterates_are_copies(self, dim, walk_task):
         # a step that updates one array in place and returns it every hop:
         # a transcript holding that array, not copies, would hash its last value
         task, _ = walk_task
-        theta, hashes = np.zeros(WALK_CFG.dim), []
+        theta, hashes = np.zeros(dim), []
 
         def step(client, theta, eta, pick, noise):
             theta += eta
@@ -207,3 +205,24 @@ class TestWalkTranscript:
         assert [line.rsplit(",", 1)[1] for line in result.transcript.to_lines()] == hashes
         assert len(set(hashes)) == 30
         assert result.final.params[0] == pytest.approx(30 * WALK_CFG.eta)
+
+    def test_wide_walk_hashes_each_hop(self, walk_task, monkeypatch):
+        # above _KEPT_DIM a copy per hop outweighs the hash it stands for: a
+        # wide walk hashes each hop once and holds H hashes, not H·d floats
+        task, _ = walk_task
+        dim, hops = 5000, 40
+        calls = _count_hashes(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = protocols._walk(
+                WALK_CFG, task.objective, list(task.datasets), np.zeros(dim), hops, "wide",
+                lambda prev, rng, size: rng.integers(1, 5, size=size).tolist(),
+                lambda client: (1, 0, 0.0), lambda client, theta, eta, pick, noise: theta + eta,
+                r_dom=2.0, G=1.0,
+            )
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == hops
+        assert held < hops * dim * 8 / 10
+        assert len(result.transcript.to_lines()) == hops and len(calls) == hops

@@ -209,6 +209,7 @@ REPLAY_CASES = {
     "fullbatch-decreasing": dict(stepsize_rule="decreasing"),
     "exact": dict(batch_size=4, s=3, mode=CorrectionMode.EXACT),
     "quadratic-n2": dict(n_clients=2, batch_size=2, objective="quadratic", p=0.5),
+    "wide": dict(batch_size=3, s=2, dim=protocols._KEPT_DIM + 1),  # hashed at each hop
 }
 
 
