@@ -52,6 +52,7 @@ from .core import (
     validate_config,
 )
 from .evaluation import (
+    EXPERIMENT_CSV_HEADER,
     ExperimentSpec,
     Metrics,
     alignment_bias_sweep,
@@ -97,11 +98,11 @@ from .optimizer import (
     stepsize,
 )
 from .protocols import (
+    PARAMS_MAGIC,
     PrivacyRecord,
     RunResult,
     load_params,
     run_certifier,
-    run_dpsgd,
     run_private_baseline,
     run_token_training,
     run_unlearning,

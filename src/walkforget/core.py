@@ -32,6 +32,7 @@ __all__ = [
     "validate_config",
     "config_to_text",
     "config_from_text",
+    "config_from_file",
 ]
 
 
@@ -92,7 +93,7 @@ class Graph:
     """Complete communication graph over clients 1..num_clients.
 
     Every pair of distinct clients is an edge, so the graph is its client
-    count; edges and degrees are derived on request, never stored.
+    count and stores nothing else.
     """
 
     num_clients: int
@@ -102,15 +103,6 @@ class Graph:
         if num_clients < 2:
             raise ValueError("complete graph needs at least 2 clients")
         return Graph(num_clients=num_clients)
-
-    @property
-    def edges(self) -> frozenset:
-        """All pairs (i, j) with i < j; O(N^2), built on each request."""
-        n = self.num_clients
-        return frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-    def degree(self, client: int) -> int:
-        return self.num_clients - 1
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -132,20 +124,6 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
-
-
-def _stack_slot(view: np.ndarray, stack) -> int | None:
-    """``i`` when the C-ordered ``view`` is ``stack[i]`` of the C-ordered ``stack``, else None."""
-    if not (
-        isinstance(stack, np.ndarray)
-        and stack.flags.c_contiguous
-        and stack.shape[1:] == view.shape
-        and view.nbytes > 0
-    ):
-        return None
-    offset = view.__array_interface__["data"][0] - stack.__array_interface__["data"][0]
-    row, rest = divmod(offset, view.nbytes)
-    return row if rest == 0 and 0 <= row < stack.shape[0] else None
 
 
 @dataclass(frozen=True)
@@ -222,11 +200,19 @@ class FeasibleRegion:
 
 @dataclass(frozen=True)
 class ClientDataset:
-    """One client's local examples with a designated forget subset."""
+    """One client's local examples with a designated forget subset.
+
+    A generated task keeps every client's rows in one ``(N, n, d)`` features
+    stack and one ``(N, n)`` labels stack, and each of its datasets is a
+    view of its row of both. ``_stack_row`` is that row, which
+    ``_stacked_datasets`` records and ``with_forget`` carries over; it is
+    None for any other dataset. ``loss_panel`` reads such rows in place.
+    """
 
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,)
     forget_indices: tuple = ()
+    _stack_row = None  # unannotated, so not a dataclass field
 
     def __post_init__(self):
         feats = _frozen_array(self.features)
@@ -267,22 +253,6 @@ class ClientDataset:
         h.update(self.labels)
         return h.hexdigest()
 
-    @cached_property
-    def _stack_row(self) -> int | None:
-        """``i`` when the features and labels are row ``i`` of their bases, else None.
-
-        A generated task keeps every client's rows in one ``(N, n, d)``
-        features stack and one ``(N, n)`` labels stack, and each dataset is
-        a view of its row of both; ``loss_panel`` reads such rows in place.
-        Worked out once, from the data addresses of the views and their
-        bases. ``_stacked_datasets`` records it for the datasets it makes:
-        reading the four addresses takes about 15 us, more than a whole
-        panel build per client at N=2000.
-        """
-        feats, labels = self.features.base, self.labels.base
-        row = _stack_slot(self.features, feats)
-        return row if row is not None and row == _stack_slot(self.labels, labels) else None
-
     def retained_indices(self) -> np.ndarray:
         mask = np.ones(self.n_u, dtype=bool)
         mask[list(self.forget_indices)] = False
@@ -297,15 +267,17 @@ class ClientDataset:
         return ClientDataset(*rows, ())
 
     def with_forget(self, indices) -> "ClientDataset":
-        return ClientDataset(self.features, self.labels, tuple(indices))
+        """The same rows with another forget subset; a stack row stays one."""
+        data = ClientDataset(self.features, self.labels, tuple(indices))
+        object.__setattr__(data, "_stack_row", self._stack_row)
+        return data
 
 
 def _stacked_datasets(features: np.ndarray, labels: np.ndarray, forgets) -> tuple:
     """Freeze a task's two stacks and make client ``c``'s dataset a view of row ``c - 1``.
 
-    ``ClientDataset`` keeps a frozen input, so the rows are held once. The
-    row of each view is known here, so it is recorded as the dataset's
-    ``_stack_row`` rather than read back from data addresses.
+    ``ClientDataset`` keeps a frozen input, so the rows are held once. Each
+    dataset records its row as ``_stack_row``.
     """
     features.setflags(write=False)
     labels.setflags(write=False)
@@ -313,7 +285,7 @@ def _stacked_datasets(features: np.ndarray, labels: np.ndarray, forgets) -> tupl
         ClientDataset(features[i], labels[i], forget) for i, forget in enumerate(forgets)
     )
     for i, data in enumerate(datasets):
-        data.__dict__["_stack_row"] = i
+        object.__setattr__(data, "_stack_row", i)
     return datasets
 
 

@@ -9,6 +9,7 @@ before unlearning, after unlearning, and for the retrain certifier.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .core import (
     validate_config,
 )
 from .objectives import (
+    _subset_arrays,
     closed_form_optimum,
     corrective_gradient,
     global_loss,
@@ -47,6 +49,8 @@ __all__ = [
     "run_unlearning_experiment",
     "rows_to_csv",
     "alignment_bias_sweep",
+    "make_task",
+    "run_point",
     "EXPERIMENT_CSV_HEADER",
 ]
 
@@ -91,10 +95,7 @@ def evaluate(
     if objective.kind == "logistic":
         clean_acc = _accuracy(objective, theta, test_features, test_labels)
         if data_u.m > 0:
-            idx = data_u.forget_indices
-            forget_acc = _accuracy(
-                objective, theta, data_u.features.take(idx, axis=0), data_u.labels.take(idx)
-            )
+            forget_acc = _accuracy(objective, theta, *_subset_arrays(data_u, "forget"))
     distance = None
     if certifier_params is not None:
         distance = float(np.linalg.norm(theta - np.asarray(certifier_params)))
@@ -227,17 +228,8 @@ class ExperimentSpec:
 
 def _sweep_points(spec: ExperimentSpec):
     keys = sorted(spec.sweep)
-    if not keys:
-        yield {}
-        return
-    def rec(i, acc):
-        if i == len(keys):
-            yield dict(acc)
-            return
-        for v in spec.sweep[keys[i]]:
-            acc[keys[i]] = v
-            yield from rec(i + 1, acc)
-    yield from rec(0, {})
+    for values in itertools.product(*(spec.sweep[k] for k in keys)):
+        yield dict(zip(keys, values))
 
 
 def _metric_cols(metrics: Metrics, eps_achieved, sigma_used) -> dict:
@@ -358,8 +350,7 @@ def rows_to_csv(rows, sweep_keys, path) -> None:
 
 
 def _retained_minimizer(objective, data: ClientDataset) -> np.ndarray:
-    keep = data.retained_indices()
-    feats, labels = data.features.take(keep, axis=0), data.labels.take(keep)
+    feats, labels = _subset_arrays(data, "retained")
     if objective.kind == "quadratic":
         return feats.mean(axis=0)
     theta = np.zeros(data.dim)

@@ -263,13 +263,8 @@ def closed_form_optimum(objective, datasets, exclude_forget: bool = False) -> np
         raise ValueError("closed-form optimum only available for the quadratic task")
     means = []
     for data in datasets:
-        if exclude_forget and data.m > 0:
-            if data.m == data.n_u:
-                raise ValueError("retained set empty")
-            keep = data.retained_indices()
-            means.append(data.features.take(keep, axis=0).mean(axis=0))
-        else:
-            means.append(data.features.mean(axis=0))
+        subset = "retained" if exclude_forget and data.m > 0 else "full"
+        means.append(_subset_arrays(data, subset)[0].mean(axis=0))
     return np.mean(means, axis=0)
 
 
@@ -291,16 +286,16 @@ def global_loss(objective, datasets, theta, exclude_forget: bool = False) -> flo
 def loss_panel(objective, datasets, exclude_forget: bool = False):
     """``global_loss`` as a function of theta, for many evaluations on fixed data.
 
-    A dataset whose full rows are row ``i`` of a task's stacks (see
-    ``make_task``) is read there in place: each pair of stacks is evaluated
-    over the contiguous slice of rows that covers its members, so an
-    unlisted row inside it costs compute, not memory. Any other rows a
+    A dataset whose full rows are row ``_stack_row`` of a task's stacks
+    (see ``make_task``) is read there in place: each pair of stacks is
+    evaluated over the contiguous slice of rows that covers its members, so
+    an unlisted row inside it costs compute, not memory. Any other rows a
     client contributes (its retained rows when ``exclude_forget`` and it
     has a forget set, or a dataset built on its own) are copied once,
-    grouped by shape into ``(k, n, d)`` and ``(k, n)`` stacks. A dataset
-    object listed more than once, as in ``run_dpsgd``'s pooled list, is
-    evaluated once. Each call makes one ``mean_losses`` call per stack and
-    adds the clients' losses in client order with a sequential ``+=``, as
+    grouped by shape into ``(k, n, d)`` and ``(k, n)`` stacks. Each list
+    position is a client of its own, so a dataset listed twice is evaluated
+    twice. Each call makes one ``mean_losses`` call per stack and adds the
+    clients' losses in list order with a sequential ``+=``, as
     ``global_loss`` does.
 
     The result is bit-identical to ``global_loss``. That rules out two
@@ -311,13 +306,9 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
     ``math.fsum`` or builtin ``sum`` (compensated from Python 3.12), which
     round differently.
     """
-    slot_of = {}  # id(dataset) -> index of its loss among the distinct datasets
     in_place = {}  # (id(features stack), id(labels stack)) -> (features, labels, rows, slots)
     copied = {}  # row shape -> [(features, labels, slot)]
-    for data in datasets:
-        if id(data) in slot_of:
-            continue
-        slot = slot_of[id(data)] = len(slot_of)
+    for slot, data in enumerate(datasets):
         if exclude_forget and data.m > 0:
             feats, labels = _subset_arrays(data, "retained")
         elif data._stack_row is None:
@@ -341,17 +332,16 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
         k = len(slots)
         blocks.append((np.concatenate(feats).reshape(k, n, d),
                        np.concatenate(labels).reshape(k, n), np.array(slots), np.arange(k)))
-    order = np.array([slot_of[id(data)] for data in datasets], dtype=np.intp)
-    n_slots = len(slot_of)
+    n_slots = len(datasets)
 
     def panel(theta) -> float:
         losses = np.empty(n_slots)
         for feats, labels, slots, rows in blocks:
             losses[slots] = objective.mean_losses(theta, feats, labels)[rows]
         total = 0.0
-        for loss in losses[order].tolist():
+        for loss in losses.tolist():
             total += loss
-        return total / len(order)
+        return total / n_slots
 
     return panel
 

@@ -46,7 +46,6 @@ from .accountant import (
     unlearning_view_guarantee,
 )
 from .core import (
-    ClientDataset,
     CorrectionMode,
     FeasibleRegion,
     Graph,
@@ -75,7 +74,6 @@ __all__ = [
     "RunResult",
     "run_token_training",
     "run_private_baseline",
-    "run_dpsgd",
     "run_unlearning",
     "run_certifier",
     "save_result",
@@ -381,8 +379,8 @@ def run_private_baseline(
     The noise scale follows the closed-form Gaussian calibration for the
     configured (eps, delta) at edit distance ``group_edit``. When ``clip``
     is set, each hop's averaged minibatch gradient is rescaled to norm at
-    most ``clip`` before the noise is added (the single-machine DP-SGD
-    comparison path); there is no per-example clipping.
+    most ``clip`` before the noise is added; there is no per-example
+    clipping.
     """
     validate_config(cfg)
     if cfg.domain != "ball":
@@ -401,29 +399,6 @@ def run_private_baseline(
         _descent_draws(datasets, 1, cfg.batch_size, sigma),
         _descent_step(objective, datasets, region, cfg.clip),
         r_dom=2.0 * cfg.domain_radius, G=G, report=_baseline_record(cfg, sigma),
-    )
-
-
-def run_dpsgd(
-    cfg: RunConfig,
-    objective,
-    datasets,
-    theta0=None,
-    label: str = "dpsgd",
-) -> RunResult:
-    """Single-machine clipped DP-SGD comparison run.
-
-    Pools all clients' data and runs the noisy projected loop, clipping
-    each hop's averaged minibatch gradient at ``clip`` (``grad_bound`` when
-    unset); exists for experiment parity only and carries no network-level
-    certification.
-    """
-    pooled_feats = np.vstack([d.features for d in datasets])
-    pooled_labels = np.concatenate([d.labels for d in datasets])
-    pooled = ClientDataset(pooled_feats, pooled_labels, ())
-    cfg_pool = cfg.replace(clip=cfg.clip if cfg.clip > 0 else cfg.grad_bound)
-    return run_private_baseline(
-        cfg_pool, objective, [pooled] * cfg.n_clients, theta0, label=label
     )
 
 

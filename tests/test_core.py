@@ -22,17 +22,6 @@ from walkforget import (
 
 
 class TestGraph:
-    @pytest.mark.parametrize("n", [2, 3, 5, 10, 37])
-    def test_complete_edge_count_and_degree(self, n):
-        g = Graph.complete(n)
-        assert len(g.edges) == n * (n - 1) // 2
-        for c in range(1, n + 1):
-            assert g.degree(c) == n - 1
-
-    def test_no_self_loops(self):
-        g = Graph.complete(6)
-        assert all(a != b for a, b in g.edges)
-
     def test_too_small(self):
         with pytest.raises(ValueError):
             Graph.complete(1)
@@ -105,19 +94,11 @@ class TestFrozenInput:
         data = ClientDataset(feats[1], labels[1], (2,))
         assert data.features.base is feats and data.labels.base is labels
         np.testing.assert_array_equal(data.features, 2 * self.ROWS)
-        assert data._stack_row == 1
         assert data.digest == ClientDataset(2 * self.ROWS, np.arange(6.0, 12.0), (2,)).digest
         with pytest.raises(ValueError):
             data.features[0, 0] = 1.0
         with pytest.raises(ValueError):
             data.labels[0] = 1.0
-
-    def test_labels_from_another_row_are_not_a_stack_row(self):
-        feats = _frozen(np.stack([self.ROWS, self.ROWS]))
-        labels = _frozen(np.zeros((2, 6)))
-        assert ClientDataset(feats[1], labels[0])._stack_row is None
-        assert ClientDataset(feats[1], labels[1])._stack_row == 1
-        assert ClientDataset(self.ROWS, labels[1])._stack_row is None
 
     @pytest.mark.parametrize("kind", ["writeable", "F", "float32", "view of writeable", "foreign"])
     def test_other_input_is_copied(self, kind):
@@ -231,3 +212,21 @@ class TestConfigFile:
     def test_overrides(self):
         cfg = config_from_text("n_clients=4\n", overrides={"seed": 9})
         assert cfg.seed == 9
+
+
+def test_package_reexports_each_module_all():
+    # each ``from .x import (...)`` in the package names exactly ``x.__all__``
+    import ast
+    import importlib
+
+    import walkforget
+
+    with open(walkforget.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    got = {
+        node.module: sorted(a.name for a in node.names)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    want = {name: sorted(importlib.import_module(f"walkforget.{name}").__all__) for name in got}
+    assert got and got == want

@@ -345,9 +345,8 @@ def test_make_task_datasets_are_views_of_two_stacks(case):
     for i, data in enumerate(task.datasets):
         assert data.features.base is feats and data.labels.base is labels
         np.testing.assert_array_equal(data.features, feats[i])
-        # the recorded row agrees with the one read back from the data addresses
         assert data._stack_row == i
-        assert ClientDataset(data.features, data.labels, data.forget_indices)._stack_row == i
+        assert data.with_forget(())._stack_row == i
     data = task.datasets[-1]
     with pytest.raises(ValueError):
         data.features[0, 0] = 0.0
@@ -361,7 +360,8 @@ def client_lists(draw):
 
     More than 8 clients make a pairwise client total differ from the
     sequential one. Half the time the list is one dataset object repeated,
-    as in run_dpsgd's pooled list. Returns the datasets and three thetas.
+    which the panel evaluates once per position. Returns the datasets and
+    three thetas.
     """
     d = draw(st.integers(1, 64))
     sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=24))

@@ -307,19 +307,6 @@ class TestUnlearning:
         assert out_m.report.view.eps == 0.0
 
 
-class TestDpsgdVariant:
-    def test_pooled_clipped_run(self, quad_task):
-        from walkforget import run_dpsgd
-
-        cfg = quad_cfg(train_hops=40, sigma=None, clip=5.0, eta=0.05)
-        out = run_dpsgd(cfg, quad_task.objective, list(quad_task.datasets))
-        assert len(out.transcript) == 40
-        assert out.report.sigma == pytest.approx(
-            math.sqrt(8 * cfg.grad_bound**2 * math.log(1.25 / cfg.delta)) / cfg.eps
-        )
-        assert np.linalg.norm(out.final.params) <= cfg.domain_radius + 1e-9
-
-
 class TestCertifier:
     def test_endpoint_matches_retained_optimum(self, quad_task):
         cfg = quad_cfg(sigma=0.0, train_hops=500, unlearn_hops=300, p=0.25)
@@ -415,7 +402,6 @@ GOLDEN = {
         "certifier": "76e5caaaab45c43bc38619a3c541b007fe0e70a470a5067e451cbd0911dca3fc",
         "run_point": "63cd8e6faf23d2f1329af5429cfda39363666fa38542c3b84103f4cf5e17a868",
         "baseline": "9b0176716c58dae104c778349fcf4a44c48f11f7e2f46dad9845f787632b6228",
-        "dpsgd": "de06ced5aa2833180e389b07c623a318f3191639a4b153063ef0ee7a9fe6c745",
     },
     "logistic-minibatch-lightweight-auto": {
         "train": "64e8e167375e37866f754bc103f53c39961e1f835d429714ee19fc6b30f45626",
@@ -423,7 +409,6 @@ GOLDEN = {
         "certifier": "5a73d76399880c3aa6f9bcd8a5c02fb9f776b6034e4b63c7b43f8106893f8844",
         "run_point": "a9b7c3ac265606fcb09e452dc736e3df4be3a5668538719cde6a1ab11708a5e5",
         "baseline": "e8e7671719b157a8bcd3671dc4d678d9d1e6291be71529e17264177457db1548",
-        "dpsgd": "cbf75a850e6f954f59d0942f003a65841bc0fb90ef16ab6fa100a26c93d0f66c",
     },
     "quadratic-fullbatch-exact-full-domain": {
         "train": "7c3f027819cea8647f1aadb573a6f8eaa48b9dfc5681b4fd6ba77bd4ba900f87",
@@ -437,7 +422,6 @@ GOLDEN = {
         "certifier": "08cd569ad80019d5bdcae3dab7e7ea595d4569aa493b9ca4a022bae93580c5c4",
         "run_point": "28e14368489028a5f483ef32315a0ee13413f9257b960c9b2aef7485021909fa",
         "baseline": "e271c933d9c5615e1ce678b9f9797601a3abaa728bdb0cd4d7ba04d089295147",
-        "dpsgd": "a7792ca6ade1dc79cb691a7e5642c1eb3da065282a81fbc33e610270f2e6d008",
     },
 }
 
@@ -473,7 +457,7 @@ def _is_two_ball(x, region) -> bool:
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_outputs(case, monkeypatch):
-    from walkforget import make_task, optimizer, run_dpsgd, run_point
+    from walkforget import make_task, optimizer, run_point
 
     two_ball = []
     inner = optimizer.project
@@ -499,7 +483,6 @@ def test_golden_outputs(case, monkeypatch):
     }
     if cfg.domain == "ball":
         got["baseline"] = _result_digest(run_private_baseline(cfg, objective, datasets))
-        got["dpsgd"] = _result_digest(run_dpsgd(cfg, objective, datasets))
     assert two_ball or cfg.domain == "full"
     assert not any(two_ball), "a golden case reached the two-ball branch"
     assert got == GOLDEN[case]
