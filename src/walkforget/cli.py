@@ -9,6 +9,7 @@ failure, 2 usage error, 3 config validation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -27,9 +28,18 @@ from .capacity import (
     unlearning_capacity,
     write_capacity_csv,
 )
-from .core import ConfigError, RunConfig, _field_types, _parse_value, config_from_file
+from .core import (
+    ClientDataset,
+    ConfigError,
+    RunConfig,
+    _check_outdir,
+    _field_types,
+    _fmt,
+    _parse_value,
+    _write_file,
+    config_from_file,
+)
 from .evaluation import (
-    ExperimentSpec,
     _run_sweep,
     _sort_rows,
     _sweep_points,
@@ -38,6 +48,7 @@ from .evaluation import (
 )
 from .objectives import SyntheticTask, dataset_from_lines, dataset_to_lines
 from .protocols import (
+    load_params,
     run_certifier,
     run_token_training,
     run_unlearning,
@@ -56,13 +67,6 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _prepare_outdir(path: str, force: bool) -> None:
-    os.makedirs(path, exist_ok=True)
-    existing = [f for f in os.listdir(path) if not f.startswith(".")]
-    if existing and not force:
-        raise FileExistsError(f"output directory {path} is not empty (use --force)")
-
-
 def _load_config(args) -> RunConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
@@ -70,29 +74,25 @@ def _load_config(args) -> RunConfig:
     return config_from_file(args.config, overrides)
 
 
+def _data_files(n_clients: int) -> list:
+    """A data directory's file names: one per client, then the test set."""
+    return [f"client_{i:02d}.txt" for i in range(1, n_clients + 1)] + ["test.txt"]
+
+
 def _write_data_dir(task: SyntheticTask, outdir: str) -> None:
-    for i, data in enumerate(task.datasets, start=1):
-        path = os.path.join(outdir, f"client_{i:02d}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(dataset_to_lines(data)) + "\n")
-    test_lines = []
-    for x, y in zip(task.test_features, task.test_labels):
-        cols = [f"{v:.17g}" for v in x] + [f"{y:.17g}", "0"]
-        test_lines.append(" ".join(cols))
-    with open(os.path.join(outdir, "test.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(test_lines) + "\n")
+    test = ClientDataset(task.test_features, task.test_labels)
+    for name, data in zip(_data_files(len(task.datasets)), (*task.datasets, test)):
+        _write_file(os.path.join(outdir, name), "\n".join(dataset_to_lines(data)) + "\n")
 
 
 def _read_data_dir(cfg: RunConfig, path: str) -> SyntheticTask:
     from .objectives import LogisticObjective, QuadraticObjective
 
     datasets = []
-    for i in range(1, cfg.n_clients + 1):
-        fname = os.path.join(path, f"client_{i:02d}.txt")
-        with open(fname, "r", encoding="utf-8") as fh:
-            datasets.append(dataset_from_lines(fh.readlines()))
-    with open(os.path.join(path, "test.txt"), "r", encoding="utf-8") as fh:
-        test = dataset_from_lines(fh.readlines())
+    for name in _data_files(cfg.n_clients):
+        with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
+            datasets.append(dataset_from_lines(fh))
+    test = datasets.pop()
     objective = (
         QuadraticObjective(grad_bound=cfg.grad_bound)
         if cfg.objective == "quadratic"
@@ -101,25 +101,23 @@ def _read_data_dir(cfg: RunConfig, path: str) -> SyntheticTask:
     return SyntheticTask(objective, tuple(datasets), test.features, test.labels)
 
 
-def _obtain_task(cfg: RunConfig, args) -> SyntheticTask:
-    if getattr(args, "data", None):
-        return _read_data_dir(cfg, args.data)
-    return make_task(cfg)
+def _run_inputs(args) -> tuple:
+    """A run command's config and task (``--data``, else generated); checks ``--out``."""
+    cfg = _load_config(args)
+    _check_outdir(args.out, args.force, "--force")
+    data = getattr(args, "data", None)
+    return cfg, _read_data_dir(cfg, data) if data else make_task(cfg)
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
-    _prepare_outdir(args.out, args.force)
-    task = make_task(cfg)
+    cfg, task = _run_inputs(args)
     _write_data_dir(task, args.out)
     print(f"wrote {cfg.n_clients} client files and test.txt to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    _prepare_outdir(args.out, args.force)
-    task = _obtain_task(cfg, args)
+    cfg, task = _run_inputs(args)
     result = run_token_training(cfg, task.objective, list(task.datasets))
     save_result(result, args.out, force=True)
     print(f"trained {cfg.train_hops} hops; artifacts in {args.out}")
@@ -127,19 +125,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    cfg = _load_config(args)
-    _prepare_outdir(args.out, args.force)
-    task = _obtain_task(cfg, args)
+    cfg, task = _run_inputs(args)
     datasets = list(task.datasets)
     if args.init:
-        from .protocols import load_params
-
         theta0 = load_params(args.init)
     else:
         trained = run_token_training(cfg, task.objective, datasets)
         theta0 = trained.final.params
         save_params(theta0, os.path.join(args.out, "pre_params.bin"))
-    result = run_unlearning(cfg, task.objective, datasets, theta0, theta_ref=theta0)
+    result = run_unlearning(cfg, task.objective, datasets, theta0)
     save_result(result, args.out, force=True)
     eps = result.report.view.eps
     eps_text = f"{eps:.10g}" if math.isfinite(eps) else "inf (noiseless run)"
@@ -151,9 +145,7 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg = _load_config(args)
-    _prepare_outdir(args.out, args.force)
-    task = _obtain_task(cfg, args)
+    cfg, task = _run_inputs(args)
     result = run_certifier(cfg, task.objective, list(task.datasets))
     save_result(result, args.out, force=True)
     print(f"certifier run complete; artifacts in {args.out}")
@@ -161,32 +153,17 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    inputs = CapacityInputs(
+        eps=args.eps, delta=args.delta, n_clients=args.n, dim=args.d, horizon=args.t,
+        radius=args.radius, grad_bound=args.l, s=args.s, p=args.p, local_size=args.n_u,
+        gamma=args.gamma, bias_constant=args.bias_constant,
+    )
     if args.mode == "ddp":
-        inputs = CapacityInputs(
-            eps=args.eps,
-            delta=args.delta,
-            n_clients=args.n,
-            dim=args.d,
-            horizon=args.t,
-            radius=args.radius,
-            grad_bound=args.l,
-            s=args.s,
-        )
-        value = baseline_capacity(inputs)
-        print(f"capacity_scaling = {value:.10g}")
+        print(f"capacity_scaling = {baseline_capacity(inputs):.10g}")
         return EXIT_OK
     if args.csv:
         gammas = [float(g) for g in args.gammas.split(",")] if args.gammas else [args.gamma]
-        points = [
-            CapacityInputs(
-                eps=args.eps, delta=args.delta, n_clients=args.n, dim=args.d,
-                horizon=args.t, radius=args.radius, grad_bound=args.l,
-                s=args.s, p=args.p, local_size=args.n_u, gamma=g,
-                bias_constant=args.bias_constant,
-            )
-            for g in gammas
-        ]
-        rows = capacity_sweep_rows(points)
+        rows = capacity_sweep_rows([dataclasses.replace(inputs, gamma=g) for g in gammas])
         write_capacity_csv(rows, args.csv)
         print(f"wrote {len(rows)} capacity rows to {args.csv}")
         return EXIT_OK
@@ -249,8 +226,7 @@ def _parse_sweep(items) -> dict:
 
 
 def _point_filename(keys, point) -> str:
-    parts = [f"{k}={point[k]:.10g}" if isinstance(point[k], float) else f"{k}={point[k]}"
-             for k in keys]
+    parts = [f"{k}={_fmt(point[k])}" for k in keys]
     return "point_" + "_".join(parts).replace("/", "_") + ".csv"
 
 
@@ -262,7 +238,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError([f"--seeds must list integers, got {args.seeds!r}"]) from None
     keys = sorted(sweep)
-    points = list(_sweep_points(ExperimentSpec(cfg, sweep, seeds)))
+    points = list(_sweep_points(sweep))
 
     def path(point):
         return os.path.join(args.out, _point_filename(keys, point))

@@ -1,5 +1,5 @@
 """Shared domain types, run configuration, the seeded randomness contract,
-and the atomic CSV writer every CSV output goes through.
+and the whole-or-nothing writer every output file goes through.
 
 Every source of randomness in a run is a labeled substream of a single
 64-bit seed, so routing, minibatch sampling, and Gaussian noise can be
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -521,22 +522,36 @@ def _fmt(value) -> str:
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write ``header`` and the cell lists in ``rows`` to ``path`` whole or not at all.
+def _check_outdir(path, force: bool, hint: str = "force") -> None:
+    """Make directory ``path``; unless ``force``, refuse one holding a visible file."""
+    os.makedirs(path, exist_ok=True)
+    if not force and any(not f.startswith(".") for f in os.listdir(path)):
+        raise FileExistsError(f"output directory {path} is not empty (use {hint})")
 
-    They go to a hidden temporary file in the same directory, which then
-    replaces ``path``; a write cut short, also while ``rows`` is still being
-    produced, leaves no partial ``path`` behind.
+
+def _write_file(path, data) -> None:
+    """Write ``data`` (bytes, or text as UTF-8) to ``path`` whole or not at all.
+
+    It goes to a hidden temporary file in the same directory, which then
+    replaces ``path``; a write cut short leaves no partial ``path`` behind.
+    Every file walkforget writes goes through here.
     """
     folder, name = os.path.split(os.fspath(path))
     tmp = os.path.join(folder, f".{name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        with open(tmp, "wb") as fh:
+            fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and the cell lists in ``rows`` to ``path`` by ``_write_file``."""
+    buf = io.StringIO()  # keeps the csv module's \r\n line ends
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_file(path, buf.getvalue())

@@ -33,7 +33,6 @@ from .objectives import (
     corrective_gradient,
     global_loss,
     grad_local,
-    local_loss,
     make_logistic_task,
     make_quadratic_task,
     retained_global_grad,
@@ -87,15 +86,14 @@ def evaluate(
     """
     theta = np.asarray(theta, dtype=np.float64)
     data_u = datasets[unlearn_client - 1]
+    forget = _subset_arrays(data_u, "forget") if data_u.m > 0 else None
     retained_loss = global_loss(objective, datasets, theta, exclude_forget=True)
-    forget_loss = (
-        local_loss(objective, data_u, theta, "forget") if data_u.m > 0 else math.nan
-    )
+    forget_loss = math.nan if forget is None else objective.batch_loss(theta, *forget)
     clean_acc = forget_acc = None
     if objective.kind == "logistic":
         clean_acc = _accuracy(objective, theta, test_features, test_labels)
-        if data_u.m > 0:
-            forget_acc = _accuracy(objective, theta, *_subset_arrays(data_u, "forget"))
+        if forget is not None:
+            forget_acc = _accuracy(objective, theta, *forget)
     distance = None
     if certifier_params is not None:
         distance = float(np.linalg.norm(theta - np.asarray(certifier_params)))
@@ -183,24 +181,10 @@ def make_task(cfg: RunConfig, rng=None):
     """Generate the synthetic task named by the config."""
     if rng is None:
         rng = substream(cfg.seed, "data")
+    args = (cfg.n_clients, cfg.dim, cfg.local_size, cfg.forget_size, cfg.unlearn_client, rng)
     if cfg.objective == "quadratic":
-        return make_quadratic_task(
-            cfg.n_clients,
-            cfg.dim,
-            cfg.local_size,
-            cfg.forget_size,
-            cfg.unlearn_client,
-            rng,
-        )
-    return make_logistic_task(
-        cfg.n_clients,
-        cfg.dim,
-        cfg.local_size,
-        cfg.forget_size,
-        cfg.unlearn_client,
-        rng,
-        test_size=cfg.test_size,
-    )
+        return make_quadratic_task(*args)
+    return make_logistic_task(*args, test_size=cfg.test_size)
 
 
 EXPERIMENT_CSV_HEADER = (
@@ -226,13 +210,14 @@ class ExperimentSpec:
     seeds: tuple = (0,)
 
 
-def _sweep_points(spec: ExperimentSpec):
-    keys = sorted(spec.sweep)
-    for values in itertools.product(*(spec.sweep[k] for k in keys)):
+def _sweep_points(sweep: dict):
+    keys = sorted(sweep)
+    for values in itertools.product(*(sweep[k] for k in keys)):
         yield dict(zip(keys, values))
 
 
-def _metric_cols(metrics: Metrics, eps_achieved, sigma_used) -> dict:
+def _metric_cols(metrics: Metrics, report) -> dict:
+    """One row's metric columns; ``report`` is the run's PrivacyRecord, or None."""
     return {
         "clean_acc": metrics.clean_accuracy,
         "forget_acc": metrics.forget_accuracy,
@@ -240,8 +225,8 @@ def _metric_cols(metrics: Metrics, eps_achieved, sigma_used) -> dict:
         "forget_loss": metrics.forget_loss,
         "param_dist": metrics.param_distance,
         "excess_risk": metrics.excess_risk,
-        "epsilon_achieved": eps_achieved,
-        "sigma_used": sigma_used,
+        "epsilon_achieved": None if report is None else report.view.eps,
+        "sigma_used": None if report is None else report.sigma,
     }
 
 
@@ -262,9 +247,7 @@ def run_point(cfg: RunConfig, task=None) -> list:
     )
     trained = run_token_training(cfg, objective, datasets)
     cert = run_certifier(cfg, objective, datasets)
-    post = run_unlearning(
-        cfg, objective, datasets, theta0=trained.final, theta_ref=trained.final.params
-    )
+    post = run_unlearning(cfg, objective, datasets, theta0=trained.final)
     common = dict(
         datasets=datasets,
         test_features=task.test_features,
@@ -274,22 +257,9 @@ def run_point(cfg: RunConfig, task=None) -> list:
         optimum=optimum,
     )
     rows = []
-    pre_metrics = evaluate(trained.final.params, objective, **common)
-    rows.append({"phase": "pre", **_metric_cols(pre_metrics, None, None)})
-    post_metrics = evaluate(post.final.params, objective, **common)
-    rows.append(
-        {
-            "phase": "post",
-            **_metric_cols(post_metrics, post.report.view.eps, post.report.sigma),
-        }
-    )
-    cert_metrics = evaluate(cert.final.params, objective, **common)
-    rows.append(
-        {
-            "phase": "certifier",
-            **_metric_cols(cert_metrics, cert.report.view.eps, cert.report.sigma),
-        }
-    )
+    for phase, run in (("pre", trained), ("post", post), ("certifier", cert)):
+        metrics = evaluate(run.final.params, objective, **common)
+        rows.append({"phase": phase, **_metric_cols(metrics, run.report)})
     return rows
 
 
@@ -330,7 +300,7 @@ def _run_sweep(base: RunConfig, keys, points, seeds, on_point=None) -> list:
 def run_unlearning_experiment(spec: ExperimentSpec) -> list:
     """All sweep points and seeds; rows sorted by sweep keys, seed, phase."""
     keys = sorted(spec.sweep)
-    return _sort_rows(_run_sweep(spec.base, keys, _sweep_points(spec), spec.seeds), keys)
+    return _sort_rows(_run_sweep(spec.base, keys, _sweep_points(spec.sweep), spec.seeds), keys)
 
 
 _PHASE_ORDER = {"pre": 0, "post": 1, "certifier": 2}

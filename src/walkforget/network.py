@@ -137,20 +137,14 @@ def route_restart(target: int, p: float, graph: Graph, rng: np.random.Generator)
     """Route to the unlearning client with probability p, else uniform elsewhere.
 
     The draw is independent of the current holder, which is equivalent to a
-    walk on a complete graph.
+    walk on a complete graph; a miss is ``route_uniform`` away from the target.
     """
     n = graph.num_clients
     if n < 2:
         raise ValueError("need at least 2 clients")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
-    if rng.random() < p:
-        return target
-    k = int(rng.integers(1, n))
-    nxt = target + k
-    if nxt > n:
-        nxt -= n
-    return nxt
+    return target if rng.random() < p else route_uniform(target, graph, rng)
 
 
 def route_restart_many(

@@ -276,10 +276,8 @@ def global_loss(objective, datasets, theta, exclude_forget: bool = False) -> flo
     """
     total = 0.0
     for data in datasets:
-        if exclude_forget and data.m > 0:
-            total += local_loss(objective, data, theta, "retained")
-        else:
-            total += local_loss(objective, data, theta, "full")
+        subset = "retained" if exclude_forget and data.m > 0 else "full"
+        total += local_loss(objective, data, theta, subset)
     return total / len(datasets)
 
 
@@ -417,6 +415,11 @@ def make_quadratic_task(
     return SyntheticTask(objective, datasets, test, np.zeros(test.shape[0]))
 
 
+# The most candidate rows a logistic task may expect to draw for its forget rows;
+# a clean row's margin is N(0, 1/d), so past some d the draw would run for hours.
+_MAX_FORGET_CANDIDATES = 10**6
+
+
 def make_logistic_task(
     n_clients: int,
     dim: int,
@@ -442,6 +445,15 @@ def make_logistic_task(
     """
     if dim < 2:
         raise ValueError("logistic task needs dim >= 2")
+    if forget_size > 0:
+        lo, hi = (m * math.sqrt(dim / 2) for m in forget_margin)
+        accept = 0.5 * (math.erfc(lo) - math.erfc(hi))  # P(lo <= -margin <= hi)
+        need = forget_size / accept if accept > 0 else math.inf
+        if need > _MAX_FORGET_CANDIDATES:
+            raise ValueError(
+                f"dim={dim} puts forget_margin={forget_margin} out of reach: {forget_size} "
+                f"forget rows need about {need:.3g} candidate rows, over {_MAX_FORGET_CANDIDATES}"
+            )
     w_true = np.zeros(dim)
     w_true[: dim - 1] = rng.normal(0.0, 1.0, size=dim - 1)
     w_true /= np.linalg.norm(w_true)

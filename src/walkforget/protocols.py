@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -52,7 +53,9 @@ from .core import (
     ModelState,
     RunConfig,
     _bounded_get,
+    _check_outdir,
     _norm,
+    _write_file,
     params_hash,
     substream,
     validate_config,
@@ -503,7 +506,6 @@ def run_certifier(cfg: RunConfig, objective, datasets, label: str = "certifier")
         objective,
         retained,
         theta0=trained.final,
-        theta_ref=trained.final.params,
         label=f"{label}.unlearn",
     )
 
@@ -512,9 +514,7 @@ def save_params(params: np.ndarray, path) -> None:
     """Binary vector: 16-byte header (magic, version, dim), float64 LE body."""
     arr = np.ascontiguousarray(params, dtype="<f8")
     header = PARAMS_MAGIC + struct.pack("<I", PARAMS_VERSION) + struct.pack("<Q", arr.shape[0])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.tobytes())
+    _write_file(path, header + arr.tobytes())
 
 
 def load_params(path) -> np.ndarray:
@@ -536,27 +536,20 @@ TRACE_HEADER = "round,client,retained_loss,forget_loss,theta_norm,at_target"
 
 
 def save_result(result: RunResult, outdir, force: bool = False) -> None:
-    """Serialize a run to a directory: params, transcript, record, trace."""
-    import os
+    """Serialize a run to a directory: params, transcript, record, trace.
 
-    os.makedirs(outdir, exist_ok=True)
-    existing = [f for f in os.listdir(outdir) if not f.startswith(".")]
-    if existing and not force:
-        raise FileExistsError(f"output directory {outdir} is not empty (use force)")
+    Each file is written whole or not at all (``core._write_file``).
+    """
+    _check_outdir(outdir, force)
     save_params(result.final.params, os.path.join(outdir, "params.bin"))
-    with open(os.path.join(outdir, "transcript.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(result.transcript.to_lines()))
-        if len(result.transcript):
-            fh.write("\n")
+    lines = result.transcript.to_lines()
+    _write_file(os.path.join(outdir, "transcript.txt"), "".join(f"{ln}\n" for ln in lines))
     if result.report is not None:
-        with open(os.path.join(outdir, "accountant.json"), "w", encoding="utf-8") as fh:
-            json.dump(result.report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        record = json.dumps(result.report.to_dict(), indent=2, sort_keys=True)
+        _write_file(os.path.join(outdir, "accountant.json"), record + "\n")
     if result.trace is not None:
-        with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for row in result.trace:
-                t, client, rloss, floss, norm, at_u = row
-                fh.write(
-                    f"{t},{client},{rloss:.17g},{floss:.17g},{norm:.17g},{int(at_u)}\n"
-                )
+        rows = "".join(
+            f"{t},{client},{rloss:.17g},{floss:.17g},{norm:.17g},{int(at_u)}\n"
+            for t, client, rloss, floss, norm, at_u in result.trace
+        )
+        _write_file(os.path.join(outdir, "trace.csv"), TRACE_HEADER + "\n" + rows)

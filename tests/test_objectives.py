@@ -1,6 +1,7 @@
 """Gradients, the mixture decomposition, corrective steps, closed forms."""
 
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -453,3 +454,14 @@ def test_panel_reads_a_stacked_task_in_place():
     finally:
         tracemalloc.stop()
     assert peak < rows / 10
+
+
+def test_logistic_task_refuses_an_unreachable_forget_margin_at_once():
+    # at d=1000 a clean row lands in the forget window with probability 1.3e-15
+    rng = substream(99, "data")
+    state = rng.bit_generator.state
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"dim=1000 .*forget_margin"):
+        make_logistic_task(5, 1000, 3, 1, 1, rng)
+    assert time.perf_counter() - start < 1.0
+    assert rng.bit_generator.state == state  # refused before any draw
