@@ -6,10 +6,22 @@ conversion to (eps, delta), group privacy, and noise calibrators for the
 every-hop-noise baseline and the localized-noise unlearning walk. The view
 reports of both noisy walks come from one builder, ``_view_report``.
 
-All accounting is exact arithmetic over a finite grid of Renyi orders; the
-one unknown absolute constant of the view-level bound is an explicit knob
-(``amp_constant``) and the calibrator for the unlearning walk verifies its
-output post hoc, so reported guarantees never rely on a hidden constant.
+A view is what one client sees under ``network``'s observation model: the
+models it receives and the models it makes. Both walks share one
+neighbouring relation: replace one record of the unlearning client u. Each
+step u takes has a gradient of norm at most L (the baseline's clipped
+minibatch gradient, the unlearning walk's corrective step), so one
+replaced record moves a released step by at most Delta = 2L. The
+baseline's calibrator, sqrt(8 L^2 ln(1.25/delta)) / eps, is the Gaussian
+mechanism at this Delta, and criterion 05's group noise counts edits in
+the same unit.
+
+All accounting is exact arithmetic over a finite grid of Renyi orders. The
+view-level bound assumes amplification by decentralization with constant
+``_AMP_CONSTANT = 1``, and that constant is refuted: ``tests/test_audit.py``
+computes, from a closed-form attack, a lower bound on the baseline's view
+eps that exceeds its report at N = 2. The calibrator for the unlearning
+walk verifies its output post hoc against this same bound.
 """
 
 from __future__ import annotations
@@ -39,6 +51,10 @@ __all__ = [
 # Standard accounting grid of Renyi orders; the optimum over alpha is taken
 # on this grid.
 DEFAULT_ALPHA_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+# Constant of the view-level bound's ln(N) / N amplification factor. Each
+# report records it among its inputs.
+_AMP_CONSTANT = 1.0
 
 
 @dataclass(frozen=True)
@@ -94,11 +110,10 @@ def token_view_rdp(
     sigma: float,
     visits: float,
     n_clients: int,
-    amp_constant: float = 1.0,
 ) -> float:
     """View-level RDP of noisy token SGD on a complete graph.
 
-    Bound amp_constant * alpha * L^2 * visits * ln(N) / (sigma^2 * N) on the
+    Bound _AMP_CONSTANT * alpha * L^2 * visits * ln(N) / (sigma^2 * N) on the
     divergence between any other client's views, where ``visits`` counts
     token visits to the client whose data changed.
     """
@@ -112,7 +127,7 @@ def token_view_rdp(
         return 0.0
     if sigma == 0.0:
         return math.inf
-    return amp_constant * alpha * L * L * visits * math.log(n_clients) / (sigma * sigma * n_clients)
+    return _AMP_CONSTANT * alpha * L * L * visits * math.log(n_clients) / (sigma * sigma * n_clients)
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float):
@@ -220,7 +235,6 @@ def unlearning_view_guarantee(
     horizon: int,
     n_clients: int,
     delta: float,
-    amp_constant: float = 1.0,
 ) -> AccountantReport:
     """(eps, delta) on any other client's view for the localized-noise walk.
 
@@ -231,14 +245,14 @@ def unlearning_view_guarantee(
     the high-probability visit bound and converted on the alpha grid.
     """
     inputs = {"L": L, "sigma": sigma, "p": p, "horizon": horizon, "n_clients": n_clients,
-              "delta": delta, "amp_constant": amp_constant}
+              "delta": delta, "amp_constant": _AMP_CONSTANT}
     split = {"chernoff": 0.25 * delta, "gaussian_tail": 0.25 * delta, "conversion": 0.5 * delta}
 
     def per_alpha():
         visits = sensitive_visit_bound(horizon, p, split["chernoff"])
         return {
             alpha: visits.bound
-            * token_view_rdp(alpha, L, sigma, 1.0, n_clients, amp_constant)
+            * token_view_rdp(alpha, L, sigma, 1.0, n_clients)
             for alpha in DEFAULT_ALPHA_GRID
         }
 
@@ -251,7 +265,6 @@ def baseline_view_guarantee(
     horizon: int,
     n_clients: int,
     delta: float,
-    amp_constant: float = 1.0,
 ) -> AccountantReport:
     """(eps, delta) on any other client's view for the every-hop-noise baseline.
 
@@ -260,11 +273,11 @@ def baseline_view_guarantee(
     """
     visits = horizon / n_clients
     inputs = {"L": L, "sigma": sigma, "horizon": horizon, "n_clients": n_clients,
-              "delta": delta, "amp_constant": amp_constant, "expected_visits": visits}
+              "delta": delta, "amp_constant": _AMP_CONSTANT, "expected_visits": visits}
 
     def per_alpha():
         return {
-            alpha: token_view_rdp(alpha, L, sigma, visits, n_clients, amp_constant)
+            alpha: token_view_rdp(alpha, L, sigma, visits, n_clients)
             for alpha in DEFAULT_ALPHA_GRID
         }
 
@@ -315,7 +328,6 @@ def calibrate_unlearning_sigma(
     horizon: int,
     n_clients: int,
     cal_constant: float = 1.0,
-    amp_constant: float = 1.0,
 ) -> CalibrationResult:
     """Noise scale for the localized-noise walk, certified post hoc.
 
@@ -332,7 +344,7 @@ def calibrate_unlearning_sigma(
     if n_clients < 2:
         raise ValueError("need at least 2 clients")
     if p == 0.0 or horizon == 0:
-        report = unlearning_view_guarantee(L, 0.0, 0.0, 0, n_clients, delta, amp_constant)
+        report = unlearning_view_guarantee(L, 0.0, 0.0, 0, n_clients, delta)
         return CalibrationResult(sigma=0.0, achieved_eps=0.0, delta=delta, attempts=0, report=report)
     base = (
         cal_constant
@@ -341,9 +353,7 @@ def calibrate_unlearning_sigma(
     )
     for k in range(4):  # factors 1, 2, 4, 8
         sigma = base * (2.0**k)
-        report = unlearning_view_guarantee(
-            L, sigma, p, horizon, n_clients, delta, amp_constant
-        )
+        report = unlearning_view_guarantee(L, sigma, p, horizon, n_clients, delta)
         if report.eps <= eps:
             return CalibrationResult(
                 sigma=sigma,

@@ -1,8 +1,11 @@
 """Deletion-capacity calculators and utility-bound evaluators.
 
-Outputs are scaling values: every hidden constant of the underlying bounds
-is an explicit knob defaulting to 1, and only monotonicity and exact ratio
-properties are meaningful. Natural logarithms throughout.
+Outputs are scaling values: the unknown absolute constants of the
+underlying bounds are taken as 1, so only monotonicity and exact ratio
+properties are meaningful. Natural logarithms throughout. The privacy terms
+assume the ln N / N amplification by decentralization of the view-level
+accountant, whose constant a closed-form attack refutes at N = 2
+(``tests/test_audit.py``).
 """
 
 from __future__ import annotations
@@ -37,16 +40,13 @@ class CapacityInputs:
     p: float = 0.1
     local_size: int = 200
     gamma: float = 0.1
-    c_opt: float = 1.0  # knob on the optimization term
-    c_priv: float = 1.0  # knob on the privacy term
-    c_scale: float = 1.0  # knob on the capacity scaling
     bias_constant: float = 2.0  # envelope constant on the alignment bias
 
 
 def baseline_capacity(inputs: CapacityInputs) -> float:
     """Deletion-capacity scaling of the every-hop-noise baseline.
 
-    c * (eps / (R L (2 + ln T))) * sqrt(s N / (d ln(1/delta) ln N));
+    (eps / (R L (2 + ln T))) * sqrt(s N / (d ln(1/delta) ln N));
     local averaging s contributes the extra sqrt(s) factor.
     """
     if inputs.n_clients < 3:
@@ -61,7 +61,7 @@ def baseline_capacity(inputs: CapacityInputs) -> float:
         * inputs.n_clients
         / (inputs.dim * math.log(1.0 / inputs.delta) * math.log(inputs.n_clients))
     )
-    return inputs.c_scale * lead * root
+    return lead * root
 
 
 def _privacy_root(inputs: CapacityInputs) -> float:
@@ -98,13 +98,13 @@ def utility_bound(inputs: CapacityInputs, objective_class: str):
         priv = (L * L / inputs.eps) * inputs.p * root
     else:
         raise ValueError(f"unknown objective class {objective_class!r}")
-    return inputs.c_opt * opt, inputs.c_priv * priv
+    return opt, priv
 
 
 def nonbias_term(inputs: CapacityInputs) -> float:
     """The forget-size-independent part of the convex excess-risk bound.
 
-    A = c1 * R_cert L / sqrt(s T_u) + c2 * R_cert (L/eps) p
+    A = R_cert L / sqrt(s T_u) + R_cert (L/eps) p
     sqrt(d ln(1/delta) ln N / (s N)).
     """
     opt, priv = utility_bound(inputs, "convex")

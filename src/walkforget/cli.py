@@ -190,7 +190,6 @@ def _cmd_calibrate(args) -> int:
         args.t_u,
         args.n,
         args.cal_constant,
-        args.amp_constant,
     )
     print(f"sigma = {result.sigma:.10g}")
     print(f"achieved_eps = {result.achieved_eps:.10g}")
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-u", dest="t_u", type=int, default=100)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--cal-constant", type=float, default=1.0)
-    p.add_argument("--amp-constant", type=float, default=1.0)
     p.set_defaults(func=_cmd_calibrate)
 
     # no abbreviations: "--seed" would silently stand for "--seeds"

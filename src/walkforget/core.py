@@ -106,15 +106,15 @@ class Graph:
         return Graph(num_clients=num_clients)
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """``values`` as a read-only C-ordered array, so that equal values give equal runs.
+def _frozen_array(values) -> np.ndarray:
+    """``values`` as a read-only C-ordered float64 array, so that equal values give equal runs.
 
-    An input that is already frozen is kept: a C-ordered ndarray of
-    ``dtype`` whose memory numpy owns and which, like every array up its
-    base chain, is read-only. Anything else is copied, so no later write to
-    the source can reach the result.
+    An input that is already frozen is kept: a C-ordered float64 ndarray
+    whose memory numpy owns and which, like every array up its base chain,
+    is read-only. Anything else is copied, so no later write to the source
+    can reach the result.
     """
-    if type(values) is np.ndarray and values.dtype == dtype and values.flags.c_contiguous:
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.flags.c_contiguous:
         arr = values
         while isinstance(arr, np.ndarray) and not arr.flags.writeable:
             if arr.base is None:
@@ -122,7 +122,7 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
                     return values
                 break
             arr = arr.base
-    arr = np.array(values, dtype=dtype, order="C")
+    arr = np.array(values, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -327,7 +327,6 @@ class RunConfig:
     forget_size: int = 20
     batch_size: int = 0
     test_size: int = 500
-    amp_constant: float = 1.0
     cal_constant: float = 1.0
     clip: float = 0.0
     group_edit: int = 1
@@ -403,8 +402,6 @@ def config_violations(cfg: RunConfig) -> list:
         bad.append("batch_size must be an integer >= 0")
     if not (isinstance(cfg.test_size, int) and cfg.test_size >= 1):
         bad.append("test_size must be an integer >= 1")
-    if not (_finite(cfg.amp_constant) and cfg.amp_constant > 0):
-        bad.append("amp_constant must be > 0")
     if not (_finite(cfg.cal_constant) and cfg.cal_constant > 0):
         bad.append("cal_constant must be > 0")
     if not (_finite(cfg.clip) and cfg.clip >= 0):

@@ -341,15 +341,15 @@ def alignment_bias_sweep(
     rng,
     p: float | None = None,
     n_points: int = 10,
-    theta_radius: float | None = None,
 ) -> list:
     """Measured lightweight-alignment bias against the 2 L m / n_u envelope.
 
     For each forget-set size m the bias is the gap between the exact mean
     update direction (routing mixture, full-batch gradients, no noise) and
     minus the retained-data gradient, maximized over theta points sampled
-    near the unlearning client's retained minimizer, where the unlearning
-    trajectory concentrates. Rows: (m, max bias norm, envelope).
+    within 0.05 L / smoothness of the unlearning client's retained
+    minimizer, where the unlearning trajectory concentrates. Rows: (m, max
+    bias norm, envelope).
     """
     n_clients = len(datasets)
     if p is None:
@@ -357,8 +357,7 @@ def alignment_bias_sweep(
     data_u = datasets[unlearn_client - 1]
     n_u = data_u.n_u
     order = rng.permutation(n_u)
-    if theta_radius is None:
-        theta_radius = 0.05 * objective.grad_bound / objective.smoothness
+    theta_radius = 0.05 * objective.grad_bound / objective.smoothness
     rows = []
     for m in m_values:
         if not 0 <= m <= n_u - 1:

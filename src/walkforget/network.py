@@ -1,11 +1,16 @@
 """Token routing and message transcripts.
 
-The observation model: a client sees exactly the messages it sent or
-received, nothing else. Routing comes in two flavors, a uniform walk to
-one of the other clients (training) and an i.i.d. restart rule that
-targets one client with probability p (unlearning). The graph is complete,
-so the i.i.d. rule can reselect the current holder and those transcripts
-may contain self-hops; the uniform walk never does.
+The observation model (holder semantics, as in Cyffers & Bellet 2022,
+"Privacy Amplification by Decentralization"): a client sees the models it
+receives and the models it makes, nothing else. A run of hops at other
+clients reaches it only as the model it next receives. The transcript is a
+log of the whole walk, not any one client's view.
+
+Routing comes in two flavors, a uniform walk to one of the other clients
+(training) and an i.i.d. restart rule that targets one client with
+probability p (unlearning). The graph is complete, so the i.i.d. rule can
+reselect the current holder and those transcripts may contain self-hops;
+the uniform walk never does.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Message:
-    """One token hop: sender forwarded the model to receiver at this round.
+    """One token hop: the token passed from sender to receiver at this round.
 
-    ``payload_hash`` is ``core.params_hash`` of the model after the hop. A
-    transcript keeps its hops as columns and builds a message on each read.
+    ``payload_hash`` is ``core.params_hash`` of the model after the
+    *receiver's* step, not of the model the sender passed on. A transcript
+    keeps its hops as columns and builds a message on each read.
     """
 
     round: int

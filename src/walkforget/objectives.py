@@ -370,6 +370,9 @@ def _recenter(points: np.ndarray, target: np.ndarray) -> np.ndarray:
     return points - points.mean(axis=0) + target
 
 
+_POINT_SPREAD = 0.5  # standard deviation of a quadratic task's points, per axis
+
+
 def make_quadratic_task(
     n_clients: int,
     dim: int,
@@ -379,26 +382,24 @@ def make_quadratic_task(
     rng: np.random.Generator,
     *,
     center_spread: float = 5e-4,
-    point_spread: float = 0.5,
-    forget_shift: float = 1.0,
     grad_bound: float = 4.0,
 ) -> SyntheticTask:
     """Quadratic task: client point clouds with exact means at jittered centers.
 
     Each cloud is recentered so its mean hits the client center exactly; at
-    the unlearning client the forget subset is recentered onto
-    center + forget_shift along the first axis and the retained subset back
-    onto the center. Deletion therefore moves the exact optimum by a known
+    the unlearning client the forget subset is recentered onto center + e1
+    (a unit shift along the first axis) and the retained subset back onto
+    the center. Deletion therefore moves the exact optimum by a known
     amount, and the token walk's stationary wobble is set by
     ``center_spread`` alone. ``grad_bound`` is the declared L, valid on the
     feasible ball used by the protocols (callers pick the ball accordingly).
     """
-    shift = forget_shift * np.eye(1, dim)[0]
+    shift = np.eye(1, dim)[0]
     features = np.empty((n_clients, local_size, dim))
     forgets = []
     for c in range(1, n_clients + 1):
         center = rng.normal(0.0, center_spread, size=dim)
-        pts = _recenter(rng.normal(0.0, point_spread, size=(local_size, dim)), center)
+        pts = _recenter(rng.normal(0.0, _POINT_SPREAD, size=(local_size, dim)), center)
         forget = ()
         if c == unlearn_client and forget_size > 0:
             idx = rng.permutation(local_size)[:forget_size]
@@ -410,7 +411,7 @@ def make_quadratic_task(
         features[c - 1] = pts
         forgets.append(forget)
     objective = QuadraticObjective(grad_bound=grad_bound)
-    test = rng.normal(0.0, point_spread, size=(max(1, local_size), dim))
+    test = rng.normal(0.0, _POINT_SPREAD, size=(max(1, local_size), dim))
     datasets = _stacked_datasets(features, np.zeros((n_clients, local_size)), forgets)
     return SyntheticTask(objective, datasets, test, np.zeros(test.shape[0]))
 
@@ -418,6 +419,8 @@ def make_quadratic_task(
 # The most candidate rows a logistic task may expect to draw for its forget rows;
 # a clean row's margin is N(0, 1/d), so past some d the draw would run for hours.
 _MAX_FORGET_CANDIDATES = 10**6
+
+_FORGET_MARGIN = (0.25, 0.55)  # window of a logistic forget row's true margin -x @ w_true
 
 
 def make_logistic_task(
@@ -429,29 +432,26 @@ def make_logistic_task(
     rng: np.random.Generator,
     *,
     test_size: int = 500,
-    forget_margin: tuple = (0.25, 0.55),
-    forget_clean_scale: float = 0.3,
-    forget_offset: float = 0.92,
 ) -> SyntheticTask:
     """Binary logistic task with a label-flip forget subset at one client.
 
     Clean points are isotropic Gaussian, labeled by a fixed hyperplane
     through the first dim-1 coordinates. Forget points are confident
-    negatives (true margin inside ``forget_margin``), shrunk by
-    ``forget_clean_scale`` and offset along the last coordinate (which
-    carries no label signal) by ``forget_offset``, then stored with the
-    flipped label +1. Features are rescaled afterwards so the max norm is
-    one, which makes the declared gradient bound L = 1 exact.
+    negatives (true margin inside ``_FORGET_MARGIN``), shrunk by 0.3 and
+    offset along the last coordinate (which carries no label signal) by
+    0.92, then stored with the flipped label +1. Features are rescaled
+    afterwards so the max norm is one, which makes the declared gradient
+    bound L = 1 exact.
     """
     if dim < 2:
         raise ValueError("logistic task needs dim >= 2")
     if forget_size > 0:
-        lo, hi = (m * math.sqrt(dim / 2) for m in forget_margin)
+        lo, hi = (m * math.sqrt(dim / 2) for m in _FORGET_MARGIN)
         accept = 0.5 * (math.erfc(lo) - math.erfc(hi))  # P(lo <= -margin <= hi)
         need = forget_size / accept if accept > 0 else math.inf
         if need > _MAX_FORGET_CANDIDATES:
             raise ValueError(
-                f"dim={dim} puts forget_margin={forget_margin} out of reach: {forget_size} "
+                f"dim={dim} puts forget_margin={_FORGET_MARGIN} out of reach: {forget_size} "
                 f"forget rows need about {need:.3g} candidate rows, over {_MAX_FORGET_CANDIDATES}"
             )
     w_true = np.zeros(dim)
@@ -465,7 +465,7 @@ def make_logistic_task(
         return x, y
 
     def sample_confident_negative(n):
-        lo, hi = forget_margin
+        lo, hi = _FORGET_MARGIN
         out = np.empty((n, dim))
         got = 0
         while got < n:
@@ -489,8 +489,8 @@ def make_logistic_task(
         forget = ()
         if c == unlearn_client and forget_size > 0:
             xb = sample_confident_negative(forget_size)
-            xb = forget_clean_scale * xb
-            xb[:, dim - 1] += forget_offset
+            xb = 0.3 * xb
+            xb[:, dim - 1] += 0.92
             idx = rng.permutation(local_size)[:forget_size]
             x[idx] = xb
             y[idx] = 1.0  # flipped: true label is -1 by construction

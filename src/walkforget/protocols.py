@@ -279,7 +279,7 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom
 _UNREAD_BY_TRAINING = {
     name: getattr(RunConfig(), name)
     for name in ("p", "s", "unlearn_hops", "sigma", "eps", "delta", "mode", "trust_radius",
-                 "amp_constant", "cal_constant", "clip", "group_edit")
+                 "cal_constant", "clip", "group_edit")
 }
 
 # (kept results, capacity) of the innermost ``_training_reuse`` block, or None.
@@ -355,7 +355,7 @@ def _train(cfg: RunConfig, objective, datasets, theta: np.ndarray, label: str) -
 def _baseline_record(cfg: RunConfig, sigma: float) -> PrivacyRecord:
     """The baseline's view report plus the group transform for ``group_edit``."""
     view = baseline_view_guarantee(
-        cfg.grad_bound, sigma, cfg.train_hops, cfg.n_clients, cfg.delta, cfg.amp_constant
+        cfg.grad_bound, sigma, cfg.train_hops, cfg.n_clients, cfg.delta
     )
     group_eps, group_delta = view.eps, cfg.delta
     if cfg.group_edit > 1 and math.isfinite(view.eps):
@@ -419,6 +419,12 @@ def run_unlearning(
     Gaussian noise, projected onto domain intersect trust ball around
     ``theta_ref`` (which defaults to the starting model). Elsewhere:
     noiseless s-averaged descent projected onto the domain.
+
+    The report certifies the views of this walk from the fixed start model
+    ``theta0`` only: it bounds what the unlearning client's data changes
+    in them. It does not bound the distance between these views and the
+    certifier's, whose walk starts from a different trained model; hops
+    before the first visit to the target are noiseless.
     """
     validate_config(cfg)
     data_u = datasets[cfg.unlearn_client - 1]
@@ -439,7 +445,6 @@ def run_unlearning(
             cfg.unlearn_hops,
             cfg.n_clients,
             cfg.cal_constant,
-            cfg.amp_constant,
         )
         sigma = calib.sigma
         view = calib.report
@@ -452,7 +457,6 @@ def run_unlearning(
             cfg.unlearn_hops,
             cfg.n_clients,
             cfg.delta,
-            cfg.amp_constant,
         )
 
     region = _domain_region(cfg, theta.shape[0])
@@ -490,7 +494,9 @@ def run_certifier(cfg: RunConfig, objective, datasets, label: str = "certifier")
 
     This is the trajectory the unlearned model is compared against; with an
     empty original forget set it coincides with a fresh training run plus a
-    no-op deletion pass.
+    no-op deletion pass. Its report, like ``run_unlearning``'s, covers only
+    its own unlearning walk from its own start model; no report bounds the
+    distance between the unlearned views and these.
     """
     u = cfg.unlearn_client
     retained = list(datasets)

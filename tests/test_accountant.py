@@ -26,7 +26,7 @@ from walkforget import (
 class TestTokenViewRdp:
     def test_worked_example(self):
         # 1 * 2 * 1 * 10 * ln 10 / (1 * 10) = 2 ln 10
-        val = token_view_rdp(2.0, 1.0, 1.0, 10, 10, 1.0)
+        val = token_view_rdp(2.0, 1.0, 1.0, 10, 10)
         assert val == pytest.approx(2 * math.log(10))
 
     def test_no_visits(self):

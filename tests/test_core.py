@@ -214,6 +214,29 @@ class TestConfigFile:
         assert cfg.seed == 9
 
 
+# Every setting has a caller. Adding a field to either census below is a
+# decision to edit this test.
+RUN_CONFIG_FIELDS = (
+    "n_clients", "dim", "train_hops", "unlearn_hops", "p", "s", "eta", "stepsize_rule",
+    "sigma", "eps", "delta", "grad_bound", "unlearn_client", "mode", "seed", "domain",
+    "domain_radius", "trust_radius", "objective", "local_size", "forget_size",
+    "batch_size", "test_size", "cal_constant", "clip", "group_edit", "trace",
+)
+CAPACITY_INPUT_FIELDS = (
+    "eps", "delta", "n_clients", "dim", "horizon", "radius", "grad_bound", "mu", "s",
+    "p", "local_size", "gamma", "bias_constant",
+)
+
+
+def test_settings_census():
+    from dataclasses import fields
+
+    from walkforget import CapacityInputs
+
+    assert tuple(f.name for f in fields(RunConfig)) == RUN_CONFIG_FIELDS
+    assert tuple(f.name for f in fields(CapacityInputs)) == CAPACITY_INPUT_FIELDS
+
+
 def test_package_reexports_each_module_all():
     # each ``from .x import (...)`` in the package names exactly ``x.__all__``
     import ast

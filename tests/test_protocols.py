@@ -586,7 +586,6 @@ UNREAD_VALUES = {
     "delta": st.floats(1e-12, 0.5),
     "mode": st.sampled_from(CorrectionMode),
     "trust_radius": st.floats(0.0, 1e3),
-    "amp_constant": st.floats(1e-3, 1e3),
     "cal_constant": st.floats(1e-3, 1e3),
     "clip": st.floats(0.0, 1e3),
     "group_edit": st.integers(1, 100),
