@@ -344,7 +344,7 @@ def calibrate_unlearning_sigma(
     if n_clients < 2:
         raise ValueError("need at least 2 clients")
     if p == 0.0 or horizon == 0:
-        report = unlearning_view_guarantee(L, 0.0, 0.0, 0, n_clients, delta)
+        report = unlearning_view_guarantee(L, 0.0, p, horizon, n_clients, delta)
         return CalibrationResult(sigma=0.0, achieved_eps=0.0, delta=delta, attempts=0, report=report)
     base = (
         cal_constant

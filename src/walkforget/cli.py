@@ -153,6 +153,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    if args.mode == "ddp" and args.csv:
+        return _fail(EXIT_USAGE, "usage", "--csv needs --mode restart")
+    if args.gammas and not args.csv:
+        return _fail(EXIT_USAGE, "usage", "--gammas needs --csv")
     inputs = CapacityInputs(
         eps=args.eps, delta=args.delta, n_clients=args.n, dim=args.d, horizon=args.t,
         radius=args.radius, grad_bound=args.l, s=args.s, p=args.p, local_size=args.n_u,

@@ -259,19 +259,41 @@ class ClientDataset:
         mask[list(self.forget_indices)] = False
         return np.nonzero(mask)[0]
 
+    @cached_property
+    def retained_rows(self) -> tuple:
+        """Read-only ``(features, labels)`` of the unflagged rows, taken once.
+
+        With nothing flagged they are the dataset's own arrays. A dataset
+        with no unflagged row (every row flagged, or none at all) raises.
+        """
+        if self.m == self.n_u:
+            raise ValueError("retained set empty")
+        if not self.m:
+            return self.features, self.labels
+        return _taken_rows(self, self.retained_indices())
+
+    @cached_property
+    def forget_rows(self) -> tuple | None:
+        """Read-only ``(features, labels)`` of the flagged rows, taken once; None if none."""
+        return _taken_rows(self, self.forget_indices) if self.m else None
+
     def without_forget(self) -> "ClientDataset":
-        """The dataset after deleting the forget subset."""
-        keep = self.retained_indices()
-        rows = self.features.take(keep, axis=0), self.labels.take(keep)
-        for arr in rows:  # frozen, so the constructor keeps them uncopied
-            arr.setflags(write=False)
-        return ClientDataset(*rows, ())
+        """The dataset after deleting the forget subset; it shares ``retained_rows``."""
+        return ClientDataset(*self.retained_rows, ())
 
     def with_forget(self, indices) -> "ClientDataset":
         """The same rows with another forget subset; a stack row stays one."""
         data = ClientDataset(self.features, self.labels, tuple(indices))
         object.__setattr__(data, "_stack_row", self._stack_row)
         return data
+
+
+def _taken_rows(data: ClientDataset, indices) -> tuple:
+    """``data``'s rows ``indices`` as frozen copies, which ``ClientDataset`` keeps uncopied."""
+    rows = data.features.take(indices, axis=0), data.labels.take(indices)
+    for arr in rows:
+        arr.setflags(write=False)
+    return rows
 
 
 def _stacked_datasets(features: np.ndarray, labels: np.ndarray, forgets) -> tuple:
@@ -396,7 +418,7 @@ def config_violations(cfg: RunConfig) -> list:
         bad.append("local_size must be an integer >= 1")
     if not (isinstance(cfg.forget_size, int) and 0 <= cfg.forget_size <= cfg.local_size):
         bad.append("forget_size must lie in [0..local_size]")
-    elif cfg.forget_size == cfg.local_size and cfg.mode is CorrectionMode.EXACT:
+    elif cfg.forget_size == cfg.local_size:
         bad.append("retained set empty")
     if not (isinstance(cfg.batch_size, int) and cfg.batch_size >= 0):
         bad.append("batch_size must be an integer >= 0")

@@ -28,7 +28,6 @@ from .core import (
     validate_config,
 )
 from .objectives import (
-    _subset_arrays,
     closed_form_optimum,
     corrective_gradient,
     global_loss,
@@ -85,8 +84,7 @@ def evaluate(
     overrides the closed-form minimizer used for the quadratic excess risk.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    data_u = datasets[unlearn_client - 1]
-    forget = _subset_arrays(data_u, "forget") if data_u.m > 0 else None
+    forget = datasets[unlearn_client - 1].forget_rows
     retained_loss = global_loss(objective, datasets, theta, exclude_forget=True)
     forget_loss = math.nan if forget is None else objective.batch_loss(theta, *forget)
     clean_acc = forget_acc = None
@@ -320,7 +318,7 @@ def rows_to_csv(rows, sweep_keys, path) -> None:
 
 
 def _retained_minimizer(objective, data: ClientDataset) -> np.ndarray:
-    feats, labels = _subset_arrays(data, "retained")
+    feats, labels = data.retained_rows
     if objective.kind == "quadratic":
         return feats.mean(axis=0)
     theta = np.zeros(data.dim)

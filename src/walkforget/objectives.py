@@ -135,18 +135,15 @@ class LogisticObjective:
 
 
 def _subset_arrays(data: ClientDataset, subset: str):
+    """The client's ``(features, labels)`` named by ``subset``: full, retained or forget."""
     if subset == "full":
         return data.features, data.labels
     if subset == "retained":
-        if data.m == data.n_u:
-            raise ValueError("retained set empty")
-        keep = data.retained_indices()
-        return data.features.take(keep, axis=0), data.labels.take(keep)
+        return data.retained_rows
     if subset == "forget":
-        if data.m == 0:
+        if data.forget_rows is None:
             raise ValueError("forget set empty")
-        idx = data.forget_indices
-        return data.features.take(idx, axis=0), data.labels.take(idx)
+        return data.forget_rows
     raise ValueError(f"unknown subset {subset!r}")
 
 
@@ -161,11 +158,6 @@ def grad_local(objective, data: ClientDataset, theta: np.ndarray, subset: str = 
     """Exact average gradient of the client loss over the named subset."""
     feats, labels = _subset_arrays(data, subset)
     return objective.batch_grad(theta, feats, labels)
-
-
-def local_loss(objective, data: ClientDataset, theta: np.ndarray, subset: str = "full") -> float:
-    feats, labels = _subset_arrays(data, subset)
-    return objective.batch_loss(theta, feats, labels)
 
 
 @dataclass(frozen=True)
@@ -207,23 +199,17 @@ def corrective_gradient(
     degrades to minus the full gradient, making empty deletion a no-op
     certifier step. LIGHTWEIGHT returns (m/n_u) times the average gradient
     over a uniformly sampled forget minibatch, an unbiased estimator of
-    (m/n_u) * grad of the forget loss.
+    (m/n_u) * grad of the forget loss. ``_correction`` refuses the cases
+    neither mode covers.
     """
-    if mode is CorrectionMode.EXACT:
-        if data.m == data.n_u:
-            raise ValueError("retained set empty")
-    elif mode is CorrectionMode.LIGHTWEIGHT:
-        if data.m == 0:
-            raise ValueError("lightweight correction needs a nonempty forget set")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    correction = _correction(objective, data, mode)
     pick = None
     high, size = _correction_draw(data, mode, batch_size)
     if size:
         if rng is None:
             raise ValueError("minibatch sampling needs an rng")
         pick = rng.integers(0, high, size=size)
-    return _correction(objective, data, mode)(theta, pick)
+    return correction(theta, pick)
 
 
 def _correction_draw(data: ClientDataset, mode: CorrectionMode, batch_size: int | None) -> tuple:
@@ -243,14 +229,18 @@ def _correction(objective, data: ClientDataset, mode: CorrectionMode):
 
     ``pick`` indexes the forget set (a LIGHTWEIGHT minibatch), or is None
     for the whole forget set; EXACT ignores it. A walk builds one per walk.
+    Either mode refuses a client with no retained rows (``retained_rows``
+    raises); LIGHTWEIGHT also refuses one with no forget rows.
     """
+    feats, labels = data.retained_rows
     if mode is CorrectionMode.EXACT:
-        feats, labels = _subset_arrays(data, "full" if data.m == 0 else "retained")
         return lambda theta, pick: -objective.batch_grad(theta, feats, labels)
-    forget, weight = np.array(data.forget_indices), data.m / data.n_u
-    return lambda theta, pick: weight * _rows_grad(
-        objective, data, theta, forget if pick is None else forget[pick]
-    )
+    if mode is not CorrectionMode.LIGHTWEIGHT:
+        raise ValueError(f"unknown mode {mode!r}")
+    if data.forget_rows is None:
+        raise ValueError("lightweight correction needs a nonempty forget set")
+    forget, weight = ClientDataset(*data.forget_rows), data.m / data.n_u
+    return lambda theta, pick: weight * _rows_grad(objective, forget, theta, pick)
 
 
 def closed_form_optimum(objective, datasets, exclude_forget: bool = False) -> np.ndarray:
@@ -261,10 +251,10 @@ def closed_form_optimum(objective, datasets, exclude_forget: bool = False) -> np
     """
     if getattr(objective, "kind", None) != "quadratic":
         raise ValueError("closed-form optimum only available for the quadratic task")
-    means = []
-    for data in datasets:
-        subset = "retained" if exclude_forget and data.m > 0 else "full"
-        means.append(_subset_arrays(data, subset)[0].mean(axis=0))
+    means = [
+        (data.retained_rows[0] if exclude_forget else data.features).mean(axis=0)
+        for data in datasets
+    ]
     return np.mean(means, axis=0)
 
 
@@ -276,8 +266,8 @@ def global_loss(objective, datasets, theta, exclude_forget: bool = False) -> flo
     """
     total = 0.0
     for data in datasets:
-        subset = "retained" if exclude_forget and data.m > 0 else "full"
-        total += local_loss(objective, data, theta, subset)
+        rows = data.retained_rows if exclude_forget else (data.features, data.labels)
+        total += objective.batch_loss(theta, *rows)
     return total / len(datasets)
 
 
@@ -308,7 +298,7 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
     copied = {}  # row shape -> [(features, labels, slot)]
     for slot, data in enumerate(datasets):
         if exclude_forget and data.m > 0:
-            feats, labels = _subset_arrays(data, "retained")
+            feats, labels = data.retained_rows
         elif data._stack_row is None:
             feats, labels = data.features, data.labels
         else:
@@ -346,11 +336,7 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
 
 def retained_global_grad(objective, datasets, theta) -> np.ndarray:
     """Gradient of the retraining objective (forget subset removed)."""
-    grads = []
-    for data in datasets:
-        subset = "retained" if data.m > 0 else "full"
-        grads.append(grad_local(objective, data, theta, subset))
-    return np.mean(grads, axis=0)
+    return np.mean([objective.batch_grad(theta, *data.retained_rows) for data in datasets], axis=0)
 
 
 @dataclass(frozen=True)

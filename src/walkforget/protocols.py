@@ -61,7 +61,7 @@ from .core import (
     validate_config,
 )
 from .network import Transcript, route_restart, route_uniform
-from .objectives import _correction, _correction_draw, _rows_grad, _subset_arrays, loss_panel
+from .objectives import _correction, _correction_draw, _rows_grad, loss_panel
 from .optimizer import (
     _descent_draw,
     _noise_rows,
@@ -135,8 +135,7 @@ def _init_theta(cfg: RunConfig, theta0) -> np.ndarray:
 def _trace_row(objective, retained_loss, forget_rows, t, client, theta, at_target):
     """One trace row; ``retained_loss`` is the walk's ``loss_panel``.
 
-    ``forget_rows`` is the unlearning client's forget ``(features, labels)``,
-    taken once per walk, or None when its forget set is empty.
+    ``forget_rows`` is the unlearning client's ``ClientDataset.forget_rows``.
     """
     retained = retained_loss(theta)
     forget = math.nan if forget_rows is None else objective.batch_loss(theta, *forget_rows)
@@ -254,8 +253,7 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom
     if cfg.trace:
         trace = []
         retained_loss = loss_panel(objective, datasets, exclude_forget=True)
-        data_u = datasets[cfg.unlearn_client - 1]
-        forget_rows = _subset_arrays(data_u, "forget") if data_u.m > 0 else None
+        forget_rows = datasets[cfg.unlearn_client - 1].forget_rows
     hops_drawn = _schedule(cfg, label, hops, route, draw, theta.shape[0], r_dom, G)
     for t, prev, cur, eta_t, pick, noise in hops_drawn:
         theta = step(cur, theta, eta_t, pick, noise)
@@ -428,41 +426,24 @@ def run_unlearning(
     """
     validate_config(cfg)
     data_u = datasets[cfg.unlearn_client - 1]
-    if cfg.mode is CorrectionMode.LIGHTWEIGHT and data_u.m == 0:
-        raise ValueError("lightweight mode needs a nonempty forget set")
-    if data_u.m == data_u.n_u and data_u.m > 0:
-        raise ValueError("retained set empty")
+    correction = _correction(objective, data_u, cfg.mode)
     graph = Graph.complete(cfg.n_clients)
     theta = _init_theta(cfg, theta0)
     ref = theta.copy() if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
 
-    if cfg.sigma is None:
-        calib = calibrate_unlearning_sigma(
-            cfg.eps,
-            cfg.delta,
-            cfg.grad_bound,
-            cfg.p,
-            cfg.unlearn_hops,
-            cfg.n_clients,
+    sigma = cfg.sigma
+    if sigma is None:
+        sigma = calibrate_unlearning_sigma(
+            cfg.eps, cfg.delta, cfg.grad_bound, cfg.p, cfg.unlearn_hops, cfg.n_clients,
             cfg.cal_constant,
-        )
-        sigma = calib.sigma
-        view = calib.report
-    else:
-        sigma = cfg.sigma
-        view = unlearning_view_guarantee(
-            cfg.grad_bound,
-            sigma,
-            cfg.p,
-            cfg.unlearn_hops,
-            cfg.n_clients,
-            cfg.delta,
-        )
+        ).sigma
+    view = unlearning_view_guarantee(
+        cfg.grad_bound, sigma, cfg.p, cfg.unlearn_hops, cfg.n_clients, cfg.delta
+    )
 
     region = _domain_region(cfg, theta.shape[0])
     trust = region.with_trust(ref, cfg.trust_radius)
     descend = _descent_step(objective, datasets, region)
-    correction = _correction(objective, data_u, cfg.mode)
 
     def step(client, theta, eta, pick, noise):
         if client != cfg.unlearn_client:
@@ -500,8 +481,6 @@ def run_certifier(cfg: RunConfig, objective, datasets, label: str = "certifier")
     """
     u = cfg.unlearn_client
     retained = list(datasets)
-    if retained[u - 1].m == retained[u - 1].n_u and retained[u - 1].m > 0:
-        raise ValueError("retained set empty")
     retained[u - 1] = retained[u - 1].without_forget()
     cert_cfg = cfg.replace(mode=CorrectionMode.EXACT)
     trained = run_token_training(

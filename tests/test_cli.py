@@ -103,6 +103,17 @@ class TestCapacityCommand:
         assert len(lines) == 4
         assert lines[0].startswith("eps,delta,")
 
+    @pytest.mark.parametrize("args", [
+        ["--mode", "ddp", "--csv", "caps.csv"],
+        ["--mode", "restart", "--gammas", "0.1,0.2"],
+    ])
+    def test_option_its_mode_ignores_is_usage_error(self, tmp_path, capsys, args):
+        args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+        assert main(["capacity", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: usage: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and os.listdir(tmp_path) == []
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -115,6 +126,14 @@ class TestExitCodes:
         code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "error: config:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", list(CorrectionMode))
+    def test_all_forget_config_fails_before_output(self, tmp_path, capsys, mode):
+        cfg = write_cfg(tmp_path, mode=mode, forget_size=25)
+        out = tmp_path / "o"
+        assert main(["unlearn", "--config", cfg, "--out", str(out)]) == 3
+        assert "retained set empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -55,6 +55,35 @@ class TestClientDataset:
         assert list(data.retained_indices()) == [0, 2, 4]
         assert data.without_forget().n_u == 3
 
+    @pytest.mark.parametrize("forget", [(), (1, 3), (0, 1, 2, 3)])
+    def test_rows_are_taken_once_and_read_only(self, forget):
+        rng = substream(13, "rows")
+        data = ClientDataset(rng.normal(size=(5, 2)), rng.normal(size=5), forget)
+        kept, gone = data.retained_rows, data.forget_rows
+        assert data.retained_rows is kept and data.forget_rows is gone
+        keep = data.retained_indices()
+        np.testing.assert_array_equal(kept[0], data.features[keep])
+        np.testing.assert_array_equal(kept[1], data.labels[keep])
+        assert not any(arr.flags.writeable for arr in kept)
+        without = data.without_forget()
+        assert np.shares_memory(without.features, kept[0])
+        assert np.shares_memory(without.labels, kept[1])
+        if not forget:
+            assert kept[0] is data.features and kept[1] is data.labels and gone is None
+        else:
+            np.testing.assert_array_equal(gone[0], data.features[list(forget)])
+            np.testing.assert_array_equal(gone[1], data.labels[list(forget)])
+            assert not any(arr.flags.writeable for arr in gone)
+        with pytest.raises(AttributeError):
+            data.retained_rows = kept
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_no_retained_row_refuses_retained_rows(self, n):
+        data = ClientDataset(np.ones((n, 2)), np.ones(n), range(n))
+        for read in (lambda: data.retained_rows, data.without_forget):
+            with pytest.raises(ValueError, match="retained set empty"):
+                read()
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             ClientDataset(np.zeros((3, 2)), np.zeros(3), (5,))
@@ -161,6 +190,10 @@ class TestValidateConfig:
 
     def test_empty_retained_set(self):
         cfg = RunConfig(forget_size=200, local_size=200, mode=CorrectionMode.EXACT)
+        assert "retained set empty" in config_violations(cfg)
+
+    def test_empty_retained_set_lightweight(self):
+        cfg = RunConfig(forget_size=200, local_size=200, mode=CorrectionMode.LIGHTWEIGHT)
         assert "retained set empty" in config_violations(cfg)
 
     def test_all_violations_reported(self):

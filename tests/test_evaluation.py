@@ -362,3 +362,22 @@ class TestSweepReuse:
             for row in run_point(spec.base.replace(seed=seed, forget_size=f, p=p))
         ]
         assert run_unlearning_experiment(spec) == expected
+
+
+@pytest.mark.parametrize("objective", ["logistic", "quadratic"])
+def test_point_takes_the_retained_rows_at_most_once(objective, monkeypatch):
+    from walkforget import ClientDataset, make_task, run_point
+
+    cfg = _tiny_cfg(objective=objective, mode=CorrectionMode.EXACT)
+    task = make_task(cfg)
+    calls = []
+    inner = ClientDataset.retained_indices
+
+    def counted(data):
+        calls.append(data.m)
+        return inner(data)
+
+    monkeypatch.setattr(ClientDataset, "retained_indices", counted)
+    run_point(cfg, task)
+    assert task.dataset(cfg.unlearn_client).m > 0
+    assert len(calls) <= 1

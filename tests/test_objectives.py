@@ -40,16 +40,14 @@ def _random_logistic_data(rng, n=20, d=6, m=0):
 
 def _finite_difference_grad(objective, data, theta, subset, h=1e-6):
     grad = np.zeros_like(theta)
-    from walkforget.objectives import local_loss
+    from walkforget.objectives import _subset_arrays
 
+    rows = _subset_arrays(data, subset)
     for i in range(theta.shape[0]):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        grad[i] = (
-            local_loss(objective, data, up, subset)
-            - local_loss(objective, data, down, subset)
-        ) / (2 * h)
+        grad[i] = (objective.batch_loss(up, *rows) - objective.batch_loss(down, *rows)) / (2 * h)
     return grad
 
 

@@ -162,25 +162,26 @@ def test_f_ordered_features_train_to_the_same_bits():
 
 
 def test_traced_walk_takes_the_forget_rows_once(quad_task, monkeypatch):
-    from walkforget import objectives, protocols
+    from walkforget import core
 
     calls = []
-    inner = objectives._subset_arrays
+    inner = core._taken_rows
 
-    def counted(data, subset):
-        calls.append(subset)
-        return inner(data, subset)
+    def counted(data, indices):
+        calls.append("forget" if tuple(indices) == data.forget_indices else "retained")
+        return inner(data, indices)
 
-    monkeypatch.setattr(objectives, "_subset_arrays", counted)
-    monkeypatch.setattr(protocols, "_subset_arrays", counted)
-    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    monkeypatch.setattr(core, "_taken_rows", counted)
+    objective = quad_task.objective
     counts = []
     for hops in (5, 40):
         calls.clear()
+        # fresh dataset objects, so no rows are cached from an earlier run
+        datasets = [d.with_forget(d.forget_indices) for d in quad_task.datasets]
         cfg = quad_cfg(train_hops=hops, unlearn_hops=hops, sigma=0.5, trace=True)
         trained = run_token_training(cfg, objective, datasets)
         run_unlearning(cfg, objective, datasets, trained.final)
-        assert len(trained.trace) == hops and calls.count("forget") == 2
+        assert len(trained.trace) == hops and calls.count("forget") == 1
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -295,6 +296,15 @@ class TestUnlearning:
         with pytest.raises(ValueError):
             run_unlearning(cfg, task.objective, list(task.datasets), np.zeros(3))
 
+    @pytest.mark.parametrize("mode", list(CorrectionMode))
+    def test_all_forget_client_refused(self, mode):
+        task = make_quadratic_task(4, 3, 5, 0, 1, substream(6, "data"))
+        datasets = list(task.datasets)
+        datasets[0] = datasets[0].with_forget(range(5))
+        cfg = quad_cfg(mode=mode, unlearn_hops=2, local_size=5, forget_size=0)
+        with pytest.raises(ValueError, match="retained set empty"):
+            run_unlearning(cfg, task.objective, datasets, np.zeros(3))
+
     def test_p_zero_is_finetuning_regardless_of_forget(self, quad_task):
         # never visiting the unlearning client makes the forget set inert
         cfg = quad_cfg(p=0.0, unlearn_hops=80, sigma=0.0)
@@ -328,6 +338,15 @@ class TestCertifier:
             cfg, task.objective, list(task.datasets), label="certifier.train"
         )
         np.testing.assert_array_equal(cert.final.params, fresh.final.params)
+
+
+    def test_all_forget_client_refused(self):
+        task = make_quadratic_task(4, 3, 5, 0, 1, substream(6, "data"))
+        datasets = list(task.datasets)
+        datasets[0] = datasets[0].with_forget(range(5))
+        cfg = quad_cfg(train_hops=5, unlearn_hops=2, local_size=5, forget_size=0)
+        with pytest.raises(ValueError, match="retained set empty"):
+            run_certifier(cfg, task.objective, datasets)
 
 
 class TestSerialization:
@@ -495,7 +514,9 @@ def test_golden_outputs(case, monkeypatch):
 # (the per-order RDP underflows to 0, yet the conversion still applies).
 # Values are (baseline eps, unlearning eps, sha256 of the baseline record,
 # sha256 of the unlearning record), recorded before the accounting moved
-# into one report builder.
+# into one report builder. The unlearning records of "p=0" and
+# "unlearn_hops=0" were recorded again when a calibrated report with no
+# sensitive hop began to record the run's own p and horizon.
 
 REGIME_BASE = dict(
     n_clients=4, dim=3, train_hops=12, unlearn_hops=10, p=0.3, local_size=12,
@@ -510,11 +531,11 @@ REGIMES = {
     "unlearn_hops=0": (dict(unlearn_hops=0), (
         0.7257523326895103, 0.0,
         "35372ee04bc6b1be9eb86a5ba131de1640603f92c38cea3b1fbf0c04e2398164",
-        "9992914d7ce3dda63b9060a9e07b64d38ffd9bbdc05e2a7341cdff4b4a1e3a7c")),
+        "2f61d868c69d90a7544632e1dca2aab597ec641333d7b833e0abdbcaa6d09384")),
     "p=0": (dict(p=0.0), (
         0.7257523326895103, 0.0,
         "35372ee04bc6b1be9eb86a5ba131de1640603f92c38cea3b1fbf0c04e2398164",
-        "9992914d7ce3dda63b9060a9e07b64d38ffd9bbdc05e2a7341cdff4b4a1e3a7c")),
+        "36f4e03183220019e7f585077329fbbc56617a72cf7116a20844091ca2e2ac1c")),
     "p=0-sigma=0.3": (dict(p=0.0, sigma=0.3), (
         34.61783148363507, 0.0,
         "f81d7833086db9b5686df4703e49a7a19fe1d77c27b4504df526d13cde7c175f",
@@ -562,6 +583,8 @@ def test_accounting_regimes(case):
         ).report.to_dict()
     got = (baseline["view"]["eps"], unlearn["view"]["eps"], _sha(baseline), _sha(unlearn))
     assert got == expected
+    inputs = unlearn["view"]["inputs"]
+    assert (inputs["p"], inputs["horizon"]) == (cfg.p, cfg.unlearn_hops)
 
 
 # Training reuse. Inside protocols._training_reuse, a training call whose key
