@@ -78,9 +78,6 @@ class RdpCurve:
                 raise ValueError("divergence bound must be nondecreasing in alpha")
         object.__setattr__(self, "values", dict(items))
 
-    def orders(self):
-        return tuple(self.values)
-
 
 @dataclass(frozen=True)
 class DpGuarantee:

@@ -48,6 +48,7 @@ from .evaluation import (
 )
 from .objectives import SyntheticTask, dataset_from_lines, dataset_to_lines
 from .protocols import (
+    _unlearning_sigma,
     load_params,
     run_certifier,
     run_token_training,
@@ -86,12 +87,22 @@ def _write_data_dir(task: SyntheticTask, outdir: str) -> None:
 
 
 def _read_data_dir(cfg: RunConfig, path: str) -> SyntheticTask:
+    """The task in directory ``path``; a file that disagrees with ``cfg`` is a ``ConfigError``."""
     from .objectives import LogisticObjective, QuadraticObjective
 
-    datasets = []
-    for name in _data_files(cfg.n_clients):
+    datasets, bad = [], []
+    for i, name in enumerate(_data_files(cfg.n_clients), start=1):
         with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
-            datasets.append(dataset_from_lines(fh))
+            data = dataset_from_lines(fh)
+        if i <= cfg.n_clients and data.n_u != cfg.local_size:
+            bad.append(f"{name} has {data.n_u} rows, not local_size={cfg.local_size}")
+        if data.dim != cfg.dim:
+            bad.append(f"{name} has {data.dim} features, not dim={cfg.dim}")
+        if i == cfg.unlearn_client and data.m != cfg.forget_size:
+            bad.append(f"{name} flags {data.m} rows, not forget_size={cfg.forget_size}")
+        datasets.append(data)
+    if bad:
+        raise ConfigError(bad)
     test = datasets.pop()
     objective = (
         QuadraticObjective(grad_bound=cfg.grad_bound)
@@ -102,22 +113,30 @@ def _read_data_dir(cfg: RunConfig, path: str) -> SyntheticTask:
 
 
 def _run_inputs(args) -> tuple:
-    """A run command's config and task (``--data``, else generated); checks ``--out``."""
+    """A run command's config, task (``--data``, else generated) and ``--init`` params.
+
+    The params are None without ``--init``. Inputs that disagree with the
+    config are a ``ConfigError`` raised before ``--out`` is made.
+    """
     cfg = _load_config(args)
+    data, init = getattr(args, "data", None), getattr(args, "init", None)
+    task = _read_data_dir(cfg, data) if data else make_task(cfg)
+    theta0 = load_params(init) if init else None
+    if theta0 is not None and theta0.shape[0] != cfg.dim:
+        raise ConfigError([f"{init} holds {theta0.shape[0]} values, not dim={cfg.dim}"])
     _check_outdir(args.out, args.force, "--force")
-    data = getattr(args, "data", None)
-    return cfg, _read_data_dir(cfg, data) if data else make_task(cfg)
+    return cfg, task, theta0
 
 
 def _cmd_gen_data(args) -> int:
-    cfg, task = _run_inputs(args)
+    cfg, task, _ = _run_inputs(args)
     _write_data_dir(task, args.out)
     print(f"wrote {cfg.n_clients} client files and test.txt to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    cfg, task = _run_inputs(args)
+    cfg, task, _ = _run_inputs(args)
     result = run_token_training(cfg, task.objective, list(task.datasets))
     save_result(result, args.out, force=True)
     print(f"trained {cfg.train_hops} hops; artifacts in {args.out}")
@@ -125,11 +144,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    cfg, task = _run_inputs(args)
+    cfg, task, theta0 = _run_inputs(args)
     datasets = list(task.datasets)
-    if args.init:
-        theta0 = load_params(args.init)
-    else:
+    _unlearning_sigma(cfg)  # an unverifiable calibration costs no walk
+    if theta0 is None:
         trained = run_token_training(cfg, task.objective, datasets)
         theta0 = trained.final.params
         save_params(theta0, os.path.join(args.out, "pre_params.bin"))
@@ -145,7 +163,7 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg, task = _run_inputs(args)
+    cfg, task, _ = _run_inputs(args)
     result = run_certifier(cfg, task.objective, list(task.datasets))
     save_result(result, args.out, force=True)
     print(f"certifier run complete; artifacts in {args.out}")

@@ -99,10 +99,12 @@ class Graph:
 
     num_clients: int
 
+    def __post_init__(self):
+        if self.num_clients < 2:
+            raise ValueError("complete graph needs at least 2 clients")
+
     @staticmethod
     def complete(num_clients: int) -> "Graph":
-        if num_clients < 2:
-            raise ValueError("complete graph needs at least 2 clients")
         return Graph(num_clients=num_clients)
 
 
@@ -199,7 +201,7 @@ class FeasibleRegion:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientDataset:
     """One client's local examples with a designated forget subset.
 
@@ -243,17 +245,6 @@ class ClientDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @cached_property
-    def digest(self) -> str:
-        """sha256 of the shape, features, labels and forget indices.
-
-        The arrays are read-only, so each dataset object is hashed once.
-        """
-        h = hashlib.sha256(repr((self.features.shape, self.forget_indices)).encode())
-        h.update(self.features)  # the C-ordered buffers: no bytes copies
-        h.update(self.labels)
-        return h.hexdigest()
-
     def retained_indices(self) -> np.ndarray:
         mask = np.ones(self.n_u, dtype=bool)
         mask[list(self.forget_indices)] = False
@@ -277,9 +268,13 @@ class ClientDataset:
         """Read-only ``(features, labels)`` of the flagged rows, taken once; None if none."""
         return _taken_rows(self, self.forget_indices) if self.m else None
 
-    def without_forget(self) -> "ClientDataset":
-        """The dataset after deleting the forget subset; it shares ``retained_rows``."""
+    @cached_property
+    def _without_forget(self) -> "ClientDataset":
         return ClientDataset(*self.retained_rows, ())
+
+    def without_forget(self) -> "ClientDataset":
+        """The dataset after deleting the forget subset, made once; it shares ``retained_rows``."""
+        return self._without_forget
 
     def with_forget(self, indices) -> "ClientDataset":
         """The same rows with another forget subset; a stack row stays one."""

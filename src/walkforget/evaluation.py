@@ -36,7 +36,13 @@ from .objectives import (
     make_quadratic_task,
     retained_global_grad,
 )
-from .protocols import _training_reuse, run_certifier, run_token_training, run_unlearning
+from .protocols import (
+    _training_reuse,
+    _unlearning_sigma,
+    run_certifier,
+    run_token_training,
+    run_unlearning,
+)
 
 __all__ = [
     "Metrics",
@@ -270,15 +276,17 @@ def _run_sweep(base: RunConfig, keys, points, seeds, on_point=None) -> list:
     ``2 * len(seeds)`` training results (train and certifier) are kept, so
     a sweep over a data field evicts instead of piling them up.
     ``on_point(point, rows)`` is called as each point finishes. Every
-    point's config is validated, and the seeds checked for repeats, before
-    the first point runs, so a bad value is a ``ConfigError`` that costs no
-    work.
+    point's config is validated, its calibration verified, and the seeds
+    checked for repeats, before the first point runs, so a bad value is a
+    ``ConfigError`` or ``CalibrationError`` that costs no work.
     """
     if len(set(seeds)) < len(seeds):
         raise ConfigError([f"seeds list a seed more than once: {tuple(seeds)}"])
     points = list(points)
     configs = [[validate_config(base.replace(seed=seed, **point)) for seed in seeds]
                for point in points]
+    for cfg in itertools.chain.from_iterable(configs):
+        _unlearning_sigma(cfg)
     tasks = OrderedDict()
     out = []
     with _training_reuse(2 * len(seeds)):

@@ -130,8 +130,6 @@ def route_uniform(current: int, graph: Graph, rng: np.random.Generator) -> int:
     The graph is complete, so the draw is O(1) with no neighbor list.
     """
     n = graph.num_clients
-    if n < 2:
-        raise ValueError("need at least 2 clients")
     k = int(rng.integers(1, n))  # offset in 1..n-1
     nxt = current + k
     if nxt > n:
@@ -145,9 +143,6 @@ def route_restart(target: int, p: float, graph: Graph, rng: np.random.Generator)
     The draw is independent of the current holder, which is equivalent to a
     walk on a complete graph; a miss is ``route_uniform`` away from the target.
     """
-    n = graph.num_clients
-    if n < 2:
-        raise ValueError("need at least 2 clients")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     return target if rng.random() < p else route_uniform(target, graph, rng)
@@ -158,8 +153,6 @@ def route_restart_many(
 ) -> np.ndarray:
     """Vectorized i.i.d. draws from the restart routing law (Monte Carlo use)."""
     n = graph.num_clients
-    if n < 2:
-        raise ValueError("need at least 2 clients")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     vals = target + rng.integers(1, n, size=size)

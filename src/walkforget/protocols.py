@@ -17,10 +17,10 @@ the step rule:
 The certifier composes training on the retained data with an empty-forget
 unlearning pass, which is the reference process unlearning is compared to.
 
-Inside a ``_training_reuse`` block, a training call whose inputs match an
-earlier one in every field training reads returns that call's result; the
-sweep driver opens one around its points, since a sweep over ``p`` or the
-privacy target retrains identical models.
+Inside a ``_training_reuse`` block, a training call that reads the same
+config fields, objective, start model and dataset objects as an earlier one
+returns that call's result; the sweep driver opens one around its points,
+since a sweep over ``p`` or the privacy target retrains identical models.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import math
 import os
 import struct
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -288,6 +289,10 @@ _TRAINING_REUSE: ContextVar = ContextVar("walkforget_training_reuse", default=No
 def _training_reuse(capacity: int):
     """Reuse training results within the block, keeping the latest ``capacity``.
 
+    A result is kept by the dataset objects it read: they are frozen, so the
+    same objects are the same rows. Its key holds them by weak reference, so
+    it keeps none alive, and one freed matches no dataset made after it.
+
     Do not hold it across a ``yield``: a suspended generator would lend the
     block to whatever code its consumer runs meanwhile.
     """
@@ -306,7 +311,7 @@ def _training_key(cfg: RunConfig, objective, datasets, theta: np.ndarray, label:
         label,
         theta.shape,
         theta.tobytes(),
-        tuple(data.digest for data in datasets),
+        tuple(map(weakref.ref, datasets)),
     )
 
 
@@ -403,6 +408,20 @@ def run_private_baseline(
     )
 
 
+def _unlearning_sigma(cfg: RunConfig) -> float:
+    """The unlearning walk's noise scale: ``cfg.sigma``, or calibrated when None.
+
+    A calibration that cannot be verified raises ``CalibrationError``, so a
+    caller that trains first calls this before its first walk.
+    """
+    if cfg.sigma is not None:
+        return cfg.sigma
+    return calibrate_unlearning_sigma(
+        cfg.eps, cfg.delta, cfg.grad_bound, cfg.p, cfg.unlearn_hops, cfg.n_clients,
+        cfg.cal_constant,
+    ).sigma
+
+
 def run_unlearning(
     cfg: RunConfig,
     objective,
@@ -431,12 +450,7 @@ def run_unlearning(
     theta = _init_theta(cfg, theta0)
     ref = theta.copy() if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
 
-    sigma = cfg.sigma
-    if sigma is None:
-        sigma = calibrate_unlearning_sigma(
-            cfg.eps, cfg.delta, cfg.grad_bound, cfg.p, cfg.unlearn_hops, cfg.n_clients,
-            cfg.cal_constant,
-        ).sigma
+    sigma = _unlearning_sigma(cfg)
     view = unlearning_view_guarantee(
         cfg.grad_bound, sigma, cfg.p, cfg.unlearn_hops, cfg.n_clients, cfg.delta
     )
@@ -479,6 +493,7 @@ def run_certifier(cfg: RunConfig, objective, datasets, label: str = "certifier")
     its own unlearning walk from its own start model; no report bounds the
     distance between the unlearned views and these.
     """
+    _unlearning_sigma(validate_config(cfg))  # an unverifiable calibration costs no walk
     u = cfg.unlearn_client
     retained = list(datasets)
     retained[u - 1] = retained[u - 1].without_forget()

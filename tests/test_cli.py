@@ -194,6 +194,61 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["unlearn", "certify", "sweep"])
+    def test_unverifiable_calibration_fails_before_any_walk(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        from walkforget import protocols
+
+        labels, walk = [], protocols._walk
+
+        def counted(cfg, objective, datasets, theta, hops, label, *rest, **kw):
+            labels.append(label)
+            return walk(cfg, objective, datasets, theta, hops, label, *rest, **kw)
+
+        monkeypatch.setattr(protocols, "_walk", counted)
+        cfg = write_cfg(tmp_path, objective="quadratic", sigma=None, cal_constant=0.001)
+        out = tmp_path / "o"
+        sweep = ["--sweep", "p=0,0.25"] if command == "sweep" else []
+        assert main([command, "--config", cfg, "--out", str(out), *sweep]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration: verification failed after 8x escalation")
+        assert labels == []
+        if command == "sweep":
+            assert not out.exists()
+        else:
+            assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "field,made,read",
+        [("dim", 3, 5), ("local_size", 20, 30), ("forget_size", 4, 3)],
+    )
+    def test_data_that_disagrees_with_the_config_fails_before_output(
+        self, tmp_path, capsys, field, made, read
+    ):
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert main(["gen-data", "--config", write_cfg(tmp_path, **{field: made}),
+                     "--out", str(data)]) == 0
+        cfg = write_cfg(tmp_path, **{field: read})
+        assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert "client_02.txt" in err and f"not {field}={read}" in err
+        assert not out.exists()
+
+    def test_init_that_disagrees_with_the_config_fails_before_output(self, tmp_path, capsys):
+        import numpy as np
+
+        from walkforget.protocols import save_params
+
+        init, out = tmp_path / "params.bin", tmp_path / "o"
+        save_params(np.zeros(3), init)
+        cfg = write_cfg(tmp_path, dim=5)
+        assert main(["unlearn", "--config", cfg, "--init", str(init), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and f"{init} holds 3 values, not dim=5" in err
+        assert not out.exists()
+
     def test_sweep_has_no_seed_option(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         args = ["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]

@@ -23,8 +23,9 @@ from walkforget import (
 
 class TestGraph:
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            Graph.complete(1)
+        for make in (Graph.complete, Graph):
+            with pytest.raises(ValueError, match="at least 2 clients"):
+                make(1)
 
 
 class TestModelState:
@@ -90,15 +91,13 @@ class TestClientDataset:
 
     @pytest.mark.parametrize("layout", ["F", "strided"])
     def test_features_are_stored_c_ordered(self, layout):
-        # the digest hashes the values in C order whatever the layout, and the
-        # gradient kernels sum C-ordered rows in one order: store that one
+        # the gradient kernels sum C-ordered rows in one order: store that one
         rows = np.arange(24.0).reshape(6, 4) / 7.0
         given = np.asfortranarray(rows) if layout == "F" else np.repeat(rows, 2, axis=1)[:, ::2]
         assert not given.flags.c_contiguous
         data = ClientDataset(given, np.ones(6), (2,))
         assert data.features.flags.c_contiguous
         np.testing.assert_array_equal(data.features, rows)
-        assert data.digest == ClientDataset(rows, np.ones(6), (2,)).digest
 
 
 def _frozen(arr):
@@ -123,7 +122,7 @@ class TestFrozenInput:
         data = ClientDataset(feats[1], labels[1], (2,))
         assert data.features.base is feats and data.labels.base is labels
         np.testing.assert_array_equal(data.features, 2 * self.ROWS)
-        assert data.digest == ClientDataset(2 * self.ROWS, np.arange(6.0, 12.0), (2,)).digest
+        np.testing.assert_array_equal(data.labels, np.arange(6.0, 12.0))
         with pytest.raises(ValueError):
             data.features[0, 0] = 1.0
         with pytest.raises(ValueError):

@@ -316,7 +316,9 @@ class TestSweepReuse:
 
         def counted_make_task(cfg, rng=None):
             task = make_task(cfg, rng)
-            seen["tasks"].append(weakref.ref(task))
+            # a task is alive while a dataset of it is: whatever keeps
+            # training results could hold those without the task
+            seen["tasks"].append(weakref.ref(task.datasets[1]))
             return task
 
         def watched_run_point(cfg, task=None):
@@ -348,6 +350,17 @@ class TestSweepReuse:
         assert counts["most_tasks_alive"] == 2
         trainings = [w for w in counts["walks"] if w.endswith("train")]
         assert len(trainings) == 2 * 2 * 2  # forget sizes x seeds x (train, certifier)
+
+    def test_remade_task_retrains_and_is_freed(self, counts):
+        # the data key is inner, so each point evicts its seed's task and makes it again
+        spec = ExperimentSpec(
+            base=_tiny_cfg(), sweep={"eps": (0.5, 2.0), "forget_size": (3, 5)}, seeds=(2, 7)
+        )
+        run_unlearning_experiment(spec)
+        assert len(counts["tasks"]) == 2 * 2 * 2
+        assert counts["walks"].count("train") == 8
+        assert counts["walks"].count("certifier.train") == 8
+        assert counts["most_tasks_alive"] <= 2
 
     def test_rows_equal_independent_points(self):
         from walkforget import run_point

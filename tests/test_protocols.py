@@ -144,8 +144,8 @@ def test_one_loss_panel_per_traced_walk_and_none_untraced(quad_task, monkeypatch
 
 
 def test_f_ordered_features_train_to_the_same_bits():
-    # an F-ordered copy has the C-ordered data's digest, the training reuse
-    # key; it must also give that data's run, bit for bit (full batch, d=40)
+    # an F-ordered copy holds the C-ordered data's values; it must give that
+    # data's run, bit for bit (full batch, d=40)
     from walkforget import ClientDataset, make_task
 
     cfg = quad_cfg(n_clients=3, dim=40, train_hops=30, local_size=300, forget_size=10,
@@ -154,7 +154,6 @@ def test_f_ordered_features_train_to_the_same_bits():
     datasets = list(task.datasets)
     f_ordered = [ClientDataset(np.asfortranarray(d.features), d.labels, d.forget_indices)
                  for d in datasets]
-    assert [d.digest for d in f_ordered] == [d.digest for d in datasets]
     a = run_token_training(cfg, task.objective, datasets)
     b = run_token_training(cfg, task.objective, f_ordered)
     assert a.final.params.tobytes() == b.final.params.tobytes()
@@ -682,12 +681,60 @@ def test_other_inputs_change_the_key(quad_task):
     }) == 6
 
 
-def test_dataset_digest_is_cached_and_content_based(quad_task):
-    data = quad_task.datasets[0]
-    assert data.digest is data.digest
-    twin = type(data)(data.features.copy(), data.labels.copy(), data.forget_indices)
-    assert twin is not data and twin.digest == data.digest
-    assert data.with_forget(()).digest != data.digest
+def _copies(datasets) -> list:
+    return [type(d)(d.features.copy(), d.labels.copy(), d.forget_indices) for d in datasets]
+
+
+def test_key_names_the_dataset_objects(quad_task):
+    cfg = quad_cfg(**REUSE_CFG)
+    objective, datasets = quad_task.objective, list(quad_task.datasets)
+    theta = protocols._init_theta(cfg, None)
+    key = protocols._training_key(cfg, objective, datasets, theta, "train")
+    assert protocols._training_key(cfg, objective, list(datasets), theta, "train") == key
+    assert protocols._training_key(cfg, objective, _copies(datasets), theta, "train") != key
+    data = next(d for d in datasets if d.m)
+    assert data.without_forget() is data.without_forget()
+
+
+def test_kept_result_does_not_keep_its_datasets_alive(quad_task, walks):
+    import gc
+    import weakref
+
+    cfg = quad_cfg(**REUSE_CFG)
+    objective, datasets = quad_task.objective, _copies(quad_task.datasets)
+    refs = [weakref.ref(d) for d in datasets]
+    with protocols._training_reuse(2):
+        kept = run_token_training(cfg, objective, datasets)
+        assert run_token_training(cfg, objective, list(datasets)) is kept
+        del datasets
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        run_token_training(cfg, objective, _copies(quad_task.datasets))
+    assert walks == ["train", "train"]
+
+
+def test_key_of_freed_datasets_matches_no_new_dataset(quad_task):
+    from walkforget import ClientDataset
+
+    # a dataset over frozen rows copies nothing, so a new one made right
+    # after one is freed takes its address, and so its hash
+    cfg = quad_cfg(**REUSE_CFG)
+    objective, rows = quad_task.objective, quad_task.datasets[0]
+    theta = protocols._init_theta(cfg, None)
+
+    def key_of(data):
+        return protocols._training_key(cfg, objective, [data], theta, "train")
+
+    reused = 0
+    for _ in range(10):
+        data = ClientDataset(rows.features, rows.labels)
+        address, key = id(data), key_of(data)
+        hash(key)  # a kept key is hashed while its datasets live, as in a dict
+        del data
+        fresh = ClientDataset(rows.features, rows.labels)
+        reused += id(fresh) == address and hash(key_of(fresh)) == hash(key)
+        assert key_of(fresh) != key
+    assert reused
 
 
 @pytest.fixture
