@@ -20,6 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # einsum's kernel, without np.einsum's dispatcher and wrapper
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
+
 from .core import ClientDataset, CorrectionMode, _stacked_datasets
 
 __all__ = [
@@ -123,11 +128,12 @@ class LogisticObjective:
             # the order np.add.reduce sums the C-ordered (n, d) product in, so
             # the bits match without forming it. At d = 1 einsum sums unrolled
             # and on other layouts the reduce sums pairwise: take the product.
-            total = np.einsum("ij,i->j", feats, weights)
+            total = c_einsum("ij,i->j", feats, weights)
         else:
             total = np.add.reduce(feats * weights[:, None], axis=0)
-        total /= feats.shape[0]
-        return np.negative(total, out=total)
+        # IEEE division is sign-symmetric: x / -n has the bits of -(x / n)
+        total /= -feats.shape[0]
+        return total
 
     def predict(self, theta, feats) -> np.ndarray:
         """Class labels in {-1, +1}; ties resolve to +1."""
@@ -409,6 +415,16 @@ _MAX_FORGET_CANDIDATES = 10**6
 _FORGET_MARGIN = (0.25, 0.55)  # window of a logistic forget row's true margin -x @ w_true
 
 
+def _max_row_norm(x: np.ndarray) -> float:
+    """The largest row norm of ``x`` (0 with no rows), with np.linalg.norm's bits.
+
+    ``np.linalg.norm(x, axis=1)`` is ``sqrt(add.reduce(x * x, axis=1))``;
+    sqrt is monotone and correctly rounded, so the sqrt of the largest sum
+    is the largest of the sqrts, without a sqrt per row or norm's copy.
+    """
+    return math.sqrt(np.add.reduce(x * x, axis=1).max(initial=0.0))
+
+
 def make_logistic_task(
     n_clients: int,
     dim: int,
@@ -445,18 +461,17 @@ def make_logistic_task(
     w_true /= np.linalg.norm(w_true)
 
     def sample_clean(n):
+        """``n`` clean rows and their true margins ``x @ w_true``."""
         x = rng.normal(0.0, 1.0, size=(n, dim)) / math.sqrt(dim)
         x[:, dim - 1] = rng.normal(0.0, 1.0, size=n) / math.sqrt(dim)
-        y = np.where(x @ w_true >= 0.0, 1.0, -1.0)
-        return x, y
+        return x, x @ w_true
 
     def sample_confident_negative(n):
         lo, hi = _FORGET_MARGIN
         out = np.empty((n, dim))
         got = 0
         while got < n:
-            x, _ = sample_clean(4 * n)
-            margins = x @ w_true
+            x, margins = sample_clean(4 * n)
             keep = (-margins >= lo) & (-margins <= hi)
             take = min(n - got, int(keep.sum()))
             out[got : got + take] = x[keep][:take]
@@ -471,7 +486,8 @@ def make_logistic_task(
     forgets = []
     top = 0.0
     for c in range(1, n_clients + 1):
-        x, y = sample_clean(local_size)
+        x, margins = sample_clean(local_size)
+        y = np.where(margins >= 0.0, 1.0, -1.0)
         forget = ()
         if c == unlearn_client and forget_size > 0:
             xb = sample_confident_negative(forget_size)
@@ -481,13 +497,14 @@ def make_logistic_task(
             x[idx] = xb
             y[idx] = 1.0  # flipped: true label is -1 by construction
             forget = tuple(int(i) for i in idx)
-        top = max(top, np.linalg.norm(x, axis=1).max(initial=0.0))
+        top = max(top, _max_row_norm(x))
         features[c - 1] = x
         labels[c - 1] = y
         forgets.append(forget)
         del x, y  # freed before the next block is drawn
-    test_x, test_y = sample_clean(test_size)
-    scale = max(top, np.linalg.norm(test_x, axis=1).max(initial=0.0), 1e-12)
+    test_x, margins = sample_clean(test_size)
+    test_y = np.where(margins >= 0.0, 1.0, -1.0)
+    scale = max(top, _max_row_norm(test_x), 1e-12)
     # one in-place pass over the stack has the bits of x / scale per block
     features /= scale
     test_x /= scale

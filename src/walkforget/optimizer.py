@@ -60,27 +60,31 @@ def _project_two_balls(x, c1, r1, c2, r2):
 
 
 def project(theta: np.ndarray, region: FeasibleRegion) -> np.ndarray:
-    """Euclidean projection onto the region; identity on the full space."""
+    """Euclidean projection onto the region; identity on the full space.
+
+    The result is always a new array: an active ball projection already
+    builds one, so only a projection that returned its input is copied.
+    """
     x = np.asarray(theta, dtype=np.float64)
     has_ball = region.kind == "ball"
     has_trust = region.trust_center is not None
     if not has_ball and not has_trust:
-        return x.copy()
-    if has_ball and not has_trust:
-        return _project_ball(x, region.center, region.radius).copy()
-    if has_trust and not has_ball:
-        return _project_ball(x, region.trust_center, region.trust_radius).copy()
-    # Intersection. If one ball's projection lies in the other ball it is
-    # the answer; otherwise both constraints are active.
-    cand = _project_ball(x, region.trust_center, region.trust_radius)
-    if _norm(cand - region.center) <= region.radius:
-        return cand.copy()
-    cand = _project_ball(x, region.center, region.radius)
-    if _norm(cand - region.trust_center) <= region.trust_radius:
-        return cand.copy()
-    return _project_two_balls(
-        x, region.center, region.radius, region.trust_center, region.trust_radius
-    )
+        out = x
+    elif not has_trust:
+        out = _project_ball(x, region.center, region.radius)
+    elif not has_ball:
+        out = _project_ball(x, region.trust_center, region.trust_radius)
+    else:
+        # Intersection. If one ball's projection lies in the other ball it
+        # is the answer; otherwise both constraints are active.
+        out = _project_ball(x, region.trust_center, region.trust_radius)
+        if not _norm(out - region.center) <= region.radius:
+            out = _project_ball(x, region.center, region.radius)
+            if not _norm(out - region.trust_center) <= region.trust_radius:
+                out = _project_two_balls(
+                    x, region.center, region.radius, region.trust_center, region.trust_radius
+                )
+    return out.copy() if out is x else out
 
 
 def averaged_gradient(

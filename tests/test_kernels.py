@@ -30,7 +30,7 @@ from walkforget import (
 )
 from walkforget import optimizer
 from walkforget.core import _norm
-from walkforget.objectives import _rows_grad, _sigmoid
+from walkforget.objectives import _max_row_norm, _rows_grad, _sigmoid
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -2.5e-308,
            2.2250738585072014e-308, 1e300, -1e300, 709.0, -745.0, 36.7, -36.7]
@@ -230,6 +230,14 @@ def test_norm_bits(x):
             assert got == pytest.approx(top * float(np.linalg.norm(x / top)), rel=1e-15)
         else:
             _assert_same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(np.float64, st.tuples(st.integers(0, 50), st.integers(1, 30)),
+                    elements=st.floats(-1e150, 1e150, allow_subnormal=True)))
+def test_max_row_norm_bits(x):
+    # make_logistic_task scales its features by this; their sha256 pins need its bits
+    _assert_same_bits(_max_row_norm(x), np.linalg.norm(x, axis=1).max(initial=0.0))
 
 
 # _project_ball took np.linalg.norm, which overflows once entries pass about

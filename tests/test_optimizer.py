@@ -83,6 +83,52 @@ class TestProject:
                 assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
+# project()'s contract on every branch: (region, x, the projection). The
+# projection shows the case reaches its branch; a two-ball answer is where
+# the two unit circles meet, (0.5, sqrt(3)/2).
+_BALL3 = FeasibleRegion.ball(np.zeros(3), 10.0).with_trust(np.array([1.0, 0.0, 0.0]), 1.0)
+PROJECT_CASES = {
+    "full-space": (FeasibleRegion.full(), [10.0, -20.0, 3.0], [10.0, -20.0, 3.0]),
+    "ball-inside": (FeasibleRegion.ball(np.zeros(3), 2.0), [0.5, 0.2, -0.1], [0.5, 0.2, -0.1]),
+    "ball-outside": (FeasibleRegion.ball(np.zeros(3), 1.0), [3.0, 4.0, 0.0], [0.6, 0.8, 0.0]),
+    "ball-radius-0": (
+        FeasibleRegion.ball(np.array([1.0, 2.0, 3.0]), 0.0), [5.0, 5.0, 5.0], [1.0, 2.0, 3.0]
+    ),
+    "trust-inside": (
+        FeasibleRegion.full().with_trust(np.zeros(3), 1.0), [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]
+    ),
+    "trust-outside": (
+        FeasibleRegion.full().with_trust(np.array([1.0, 0.0, 0.0]), 1.0),
+        [1.0, 0.0, 4.0], [1.0, 0.0, 1.0],
+    ),
+    "intersection-inside": (_BALL3, [1.5, 0.0, 0.0], [1.5, 0.0, 0.0]),
+    "intersection-trust-answer": (_BALL3, [4.0, 0.0, 0.0], [2.0, 0.0, 0.0]),
+    "intersection-domain-answer": (
+        FeasibleRegion.ball(np.zeros(3), 1.0).with_trust(np.array([0.5, 0.0, 0.0]), 5.0),
+        [3.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+    ),
+    "two-ball": (
+        FeasibleRegion.ball(np.zeros(2), 1.0).with_trust(np.array([1.0, 0.0]), 1.0),
+        [0.5, 5.0], [0.5, np.sqrt(3.0) / 2.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROJECT_CASES))
+def test_project_returns_a_new_array(case):
+    """The result is never the input nor a view of it, and writing to it leaves x alone."""
+    region, x, want = PROJECT_CASES[case]
+    x = np.array(x)
+    kept = x.copy()
+    y = project(x, region)
+    np.testing.assert_allclose(y, want, rtol=0.0, atol=1e-12)
+    assert y is not x and not np.shares_memory(y, x)
+    for fixed in (region.center, region.trust_center):
+        assert fixed is None or not np.shares_memory(y, fixed)
+    y += 1.0
+    np.testing.assert_array_equal(x, kept)
+
+
 def _circle_optimum(x, c1, r1, c2, r2):
     """Nearest point of the lens boundary circle to x, from the plane of x, c1, c2.
 
