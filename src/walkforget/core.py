@@ -75,18 +75,24 @@ def params_hash(params: np.ndarray) -> str:
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a 1-D float64 vector, bit for bit ``np.linalg.norm``'s.
 
-    That is ``sqrt(x @ x)``, less numpy's dispatch. ``x @ x`` overflows to
-    inf once entries pass about 1e154; only then is x rescaled by its
-    largest entry, so every finite ``x @ x`` keeps its bits.
+    That is ``sqrt(x.dot(x))``, less numpy's dispatch: ``x.dot(x)`` is the
+    ``cblas_ddot`` that norm calls, without matmul's gufunc (``x @ x``
+    rounds differently on reversed views). Norm first copies a view that is
+    not contiguous with ``ravel(order="K")``, and so does this: BLAS's
+    strided ddot sums in another order. ``x.dot(x)`` overflows to inf once
+    entries pass about 1e154; only then is x rescaled by its largest entry,
+    so every finite squared sum keeps its bits.
     """
-    sq = x @ x
+    if not x.flags.c_contiguous:
+        x = x.ravel(order="K")
+    sq = x.dot(x)
     if math.isfinite(sq):
         return math.sqrt(sq)
     top = float(np.max(np.abs(x)))
     if not 0.0 < top < math.inf:  # an inf or NaN entry: the norm is inf or NaN
         return math.sqrt(sq)
     y = x / top
-    return top * math.sqrt(y @ y)
+    return top * math.sqrt(y.dot(y))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .core import (
     RunConfig,
     _bounded_get,
     _fmt,
+    _norm,
     _write_csv,
     substream,
     validate_config,
@@ -100,7 +101,7 @@ def evaluate(
             forget_acc = _accuracy(objective, theta, *forget)
     distance = None
     if certifier_params is not None:
-        distance = float(np.linalg.norm(theta - np.asarray(certifier_params)))
+        distance = _norm(theta - np.asarray(certifier_params))
     excess = None
     if objective.kind == "quadratic":
         star = (
@@ -333,7 +334,7 @@ def _retained_minimizer(objective, data: ClientDataset) -> np.ndarray:
     step = 1.0 / objective.smoothness
     for _ in range(600):
         g = objective.batch_grad(theta, feats, labels)
-        if np.linalg.norm(g) <= 1e-9:
+        if _norm(g) <= 1e-9:
             break
         theta = theta - step * g
     return theta
@@ -376,14 +377,14 @@ def alignment_bias_sweep(
         worst = 0.0
         for _ in range(n_points):
             direction = rng.standard_normal(data_u.dim)
-            direction /= np.linalg.norm(direction)
+            direction /= _norm(direction)
             radius = theta_radius * rng.random() ** (1.0 / data_u.dim)
             theta = center + radius * direction
             mean_update = expected_update_direction(
                 objective, swept, unlearn_client, theta, p, mode
             )
-            bias = np.linalg.norm(mean_update + retained_global_grad(objective, swept, theta))
-            worst = max(worst, float(bias))
+            bias = _norm(mean_update + retained_global_grad(objective, swept, theta))
+            worst = max(worst, bias)
         envelope = 2.0 * objective.grad_bound * m / n_u
         rows.append((m, worst, envelope))
     return rows

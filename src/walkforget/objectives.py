@@ -25,7 +25,7 @@ try:  # einsum's kernel, without np.einsum's dispatcher and wrapper
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
-from .core import ClientDataset, CorrectionMode, _stacked_datasets
+from .core import ClientDataset, CorrectionMode, _norm, _stacked_datasets
 
 __all__ = [
     "QuadraticObjective",
@@ -80,12 +80,15 @@ class QuadraticObjective:
 def _sigmoid(t):
     """1 / (1 + exp(-t)), stably: e / (1 + e) with e = exp(t) where t < 0.
 
-    One unmasked pass; each entry is the same quotient of the same two
+    Unmasked passes; each entry is the same quotient of the same two
     doubles as in the masked two-branch form, so the bits do not change.
-    ``copysign(t, -1)`` is ``-|t|`` in one pass.
+    ``copysign(t, -1)`` is ``-|t|``, so ``e`` is ``exp(-|t|)``. The
+    numerator ``exp(min(t, 0))`` is exp(0), exactly 1, where t >= 0 and
+    reads the same double as ``e`` where t < 0; two ``exp`` calls cost less
+    than ``np.where``'s dispatch and mask.
     """
     e = np.exp(np.copysign(t, -1.0))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(t, 0.0)) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,18 @@ class LogisticObjective:
         return float(self.mean_losses(theta, feats, labels))
 
     def batch_grad(self, theta, feats, labels) -> np.ndarray:
+        # C-ordered rows with d >= 2 skip matmul's and einsum's dispatch. On
+        # them .dot runs the gemv that @ runs, without the gufunc; on strided
+        # or reversed rows the two round differently, so @ stays there.
+        c_rows = feats.flags.c_contiguous and feats.shape[1] > 1
         # -y * <theta, x> and the weights are scaled in place, with the bits
         # of the out-of-place products
-        neg_margins = feats @ theta
+        neg_margins = feats.dot(theta) if c_rows else feats @ theta
         neg_margins *= labels
         np.negative(neg_margins, out=neg_margins)
         weights = _sigmoid(neg_margins)  # sigmoid in (0,1)
         weights *= labels
-        if feats.flags.c_contiguous and feats.shape[1] > 1:
+        if c_rows:
             # einsum adds the weighted rows one at a time into every column,
             # the order np.add.reduce sums the C-ordered (n, d) product in, so
             # the bits match without forming it. At d = 1 einsum sums unrolled
@@ -289,16 +296,22 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
     grouped by shape into ``(k, n, d)`` and ``(k, n)`` stacks. Each list
     position is a client of its own, so a dataset listed twice is evaluated
     twice. Each call makes one ``mean_losses`` call per stack and adds the
-    clients' losses in list order with a sequential ``+=``, as
-    ``global_loss`` does.
+    clients' losses in list order, one at a time, as ``global_loss``'s
+    ``+=`` does.
 
     The result is bit-identical to ``global_loss``. That rules out two
     shortcuts: one 2-D matmul over all stacked rows changes the gemv's
     blocking (the last bits differ when a client's n is not a multiple of
     4), and ``np.add.reduceat`` does not sum a client's losses pairwise as
-    ``np.mean`` does. The client total is not taken with ``np.sum``,
-    ``math.fsum`` or builtin ``sum`` (compensated from Python 3.12), which
-    round differently.
+    ``np.mean`` does. The client total is not taken with ``np.sum``
+    (pairwise), ``math.fsum`` (exact) or builtin ``sum`` (compensated from
+    Python 3.12), which round differently. ``np.add.accumulate`` is allowed:
+    each running total is the previous one plus the next loss, the same
+    strictly sequential sum as the ``+=`` loop, in C. Its first total is the
+    first loss where the loop computes 0.0 + loss; the two differ only for
+    a loss of -0.0, which a mean of log-losses or of halved squares never is.
+    With no clients the total is 0.0, and the mean divides by zero as
+    ``global_loss`` does.
     """
     in_place = {}  # (id(features stack), id(labels stack)) -> (features, labels, rows, slots)
     copied = {}  # row shape -> [(features, labels, slot)]
@@ -332,9 +345,7 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
         losses = np.empty(n_slots)
         for feats, labels, slots, rows in blocks:
             losses[slots] = objective.mean_losses(theta, feats, labels)[rows]
-        total = 0.0
-        for loss in losses.tolist():
-            total += loss
+        total = float(np.add.accumulate(losses)[-1]) if n_slots else 0.0
         return total / n_slots
 
     return panel
@@ -458,7 +469,7 @@ def make_logistic_task(
             )
     w_true = np.zeros(dim)
     w_true[: dim - 1] = rng.normal(0.0, 1.0, size=dim - 1)
-    w_true /= np.linalg.norm(w_true)
+    w_true /= _norm(w_true)
 
     def sample_clean(n):
         """``n`` clean rows and their true margins ``x @ w_true``."""

@@ -51,7 +51,7 @@ def _project_two_balls(x, c1, r1, c2, r2):
         raise ValueError("the feasible region is empty: the balls do not intersect")
     mid = c1 + a * u
     w = x - mid
-    w = w - float(w @ u) * u
+    w = w - float(w.dot(u)) * u
     norm_w = _norm(w)
     # x on the axis happens only when the spheres touch in a single point
     if norm_w == 0.0:

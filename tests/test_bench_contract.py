@@ -8,7 +8,10 @@ here, as a failed process or a problem, rather than first in a benchmark
 run. Each workload runs once untraced (mode 0) and once traced (mode 1).
 
 The per-hop names the benchmark counts are also checked in-process: each
-walk calls them through their module globals once per hop.
+walk calls them through their module globals once per hop. And no walk
+calls numpy's dispatching wrappers ``np.where``, ``np.linalg.norm`` or
+``np.einsum`` per hop, so putting one back on the hop path fails here
+rather than first as a slower benchmark.
 """
 
 import json
@@ -17,6 +20,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from walkforget import (
@@ -106,3 +110,38 @@ def test_each_hop_calls_the_wrapped_names(calls):
     unlearned, got = counted_walk(protocols.run_unlearning, trained.final)
     # a restart hop that misses the target is a route_uniform step away from it
     assert got == (h, h, h - unlearned.transcript.target_visits(), h)
+
+
+# numpy functions whose Python-level dispatch costs more than the hop kernels
+# that replace them (_sigmoid's exp pair, core._norm, c_einsum)
+DISPATCHING = {"where": (np, "where"), "norm": (np.linalg, "norm"), "einsum": (np, "einsum")}
+
+
+def test_no_walk_calls_a_dispatching_numpy_function_per_hop(monkeypatch):
+    counts = Counter()
+    for name, (module, attr) in DISPATCHING.items():
+        def counted(*args, _name=name, _fn=getattr(module, attr), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    def walks(hops):
+        """Dispatching calls in training, the baseline and unlearning, walk by walk."""
+        cfg = RunConfig(**{**POINT_SHAPE, "train_hops": hops, "unlearn_hops": hops})
+        task = make_task(cfg)
+        got = []
+
+        def counted_walk(runner, *args):
+            counts.clear()
+            result = runner(cfg, task.objective, list(task.datasets), *args)
+            got.append(dict(counts))
+            return result
+
+        trained = counted_walk(protocols.run_token_training)
+        counted_walk(protocols.run_private_baseline)
+        counted_walk(protocols.run_unlearning, trained.final)
+        return got
+
+    h = POINT_SHAPE["train_hops"]
+    assert walks(2 * h) == walks(h)

@@ -1,9 +1,10 @@
 """The hop kernels' cheaper forms, bit for bit, and the checks they must keep.
 
 The reference formulas below are the forms the kernels had before their
-numpy dispatch was cut: the masked two-branch sigmoid, ``.mean(axis=0)``
-and ``np.linalg.norm``. The kernels must equal them bit for bit (NaN
-counts as equal to NaN, whatever its sign or payload).
+numpy dispatch was cut: the masked two-branch sigmoid, ``feats @ theta``,
+``.mean(axis=0)``, ``np.linalg.norm`` and a ``+=`` loop over the client
+losses. The kernels must equal them bit for bit (NaN counts as equal to
+NaN, whatever its sign or payload).
 """
 
 import math
@@ -23,6 +24,7 @@ from walkforget import (
     RunConfig,
     StepSpec,
     grad_local,
+    loss_panel,
     make_task,
     noisy_projected_step,
     run_private_baseline,
@@ -74,6 +76,33 @@ _float = st.one_of(
 def test_sigmoid_bits(t):
     with np.errstate(all="ignore"):
         _assert_same_bits(_sigmoid(t), _sigmoid_reference(t))
+
+
+# numpy's exp, minimum and division run SIMD loops over blocks of entries and
+# finish the last few one at a time, and take other loops on strided input.
+
+def _sigmoid_layouts(t):
+    return {"contiguous": t, "strided": np.repeat(t, 2)[::2], "reversed": t[::-1].copy()[::-1],
+            "reversed-strided": np.repeat(t, 3)[::-3]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=hnp.arrays(np.float64, st.integers(1, 300), elements=_float))
+def test_sigmoid_bits_on_strided_and_reversed_t(t):
+    with np.errstate(all="ignore"):
+        for layout, view in _sigmoid_layouts(t).items():
+            _assert_same_bits(_sigmoid(view), _sigmoid_reference(view))
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_sigmoid_bits_at_every_simd_tail_length(n):
+    rng = np.random.default_rng(n)
+    values = np.concatenate([rng.standard_normal(4 * n) * 40.0, np.array(SPECIAL)])
+    with np.errstate(all="ignore"):
+        for start in range(0, values.size - n + 1, n):
+            t = values[start:start + n].copy()
+            for view in _sigmoid_layouts(t).values():
+                _assert_same_bits(_sigmoid(view), _sigmoid_reference(view))
 
 
 @st.composite
@@ -128,9 +157,13 @@ def test_logistic_batch_grad_bits_off_the_c_layout(layout, n, d):
     )
 
 
+# (20, 10), (80, 10) and (1900, 100) are the minibatch, s * batch and retained
+# rows the benchmark's workloads take their margins of with .dot
+
 @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 300), (2, 2), (17, 1), (4096, 1),
                                  (3, 2), (4097, 2), (2000, 100), (100_000, 20),
-                                 (64, 20_000), (1025, 513)])
+                                 (64, 20_000), (1025, 513), (20, 10), (80, 10),
+                                 (1900, 100)])
 def test_logistic_batch_grad_bits_fixed_shapes(n, d):
     theta, feats, labels = _logistic_batch(n, d, seed=n * 31 + d)
     _assert_same_bits(
@@ -232,6 +265,19 @@ def test_norm_bits(x):
             _assert_same_bits(got, want)
 
 
+# np.linalg.norm takes a contiguous copy of a view (ravel(order="K")) before
+# its ddot; BLAS's strided ddot sums in another order, and matmul's x @ x
+# rounds differently on a reversed view, so _norm must copy such views too.
+
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 600),
+                    elements=st.floats(-1e150, 1e150, allow_subnormal=True)),
+       step=st.sampled_from([2, 3, -1, -2]))
+def test_norm_bits_on_strided_and_reversed_views(x, step):
+    view = x[::step]
+    _assert_same_bits(_norm(view), np.linalg.norm(view))
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=hnp.arrays(np.float64, st.tuples(st.integers(0, 50), st.integers(1, 30)),
                     elements=st.floats(-1e150, 1e150, allow_subnormal=True)))
@@ -295,3 +341,42 @@ def test_non_expansiveness_check_fires_in_the_walks(monkeypatch):
         run_private_baseline(cfg, task.objective, list(task.datasets))
     with pytest.raises(AssertionError):
         run_unlearning(cfg, task.objective, list(task.datasets), np.zeros(cfg.dim))
+
+
+# loss_panel adds its clients' losses with np.add.accumulate. Each running
+# total is the previous one plus the next loss, the same sequential sum as
+# global_loss's += loop. A mean loss is never -0.0, the one value whose
+# first total (0.0 + -0.0 = 0.0) the two forms would write differently.
+
+class _GivenLosses:
+    """An objective whose stacked mean losses are fixed values, in client order."""
+
+    def __init__(self, losses):
+        self.losses = np.array(losses)
+
+    def mean_losses(self, theta, feats, labels):
+        return self.losses
+
+
+_loss = st.one_of(
+    st.floats(-1e300, 1e300, allow_subnormal=True).map(lambda v: v + 0.0),  # -0.0 -> 0.0
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(losses=st.lists(_loss, min_size=1, max_size=300))
+def test_panel_total_is_the_sequential_loop(losses):
+    datasets = [ClientDataset(np.zeros((2, 3)), np.ones(2)) for _ in losses]
+    total = 0.0
+    for loss in losses:
+        total += loss
+    with np.errstate(all="ignore"):
+        got = loss_panel(_GivenLosses(losses), datasets)(np.zeros(3))
+    assert type(got) is float
+    _assert_same_bits(got, total / len(losses))
+
+
+def test_panel_of_no_clients_divides_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        loss_panel(LogisticObjective(), [])(np.zeros(3))
