@@ -46,7 +46,7 @@ from .evaluation import (
     make_task,
     rows_to_csv,
 )
-from .objectives import SyntheticTask, dataset_from_lines, dataset_to_lines
+from .objectives import _TASK_OBJECTIVES, SyntheticTask, dataset_from_lines, dataset_to_lines
 from .protocols import (
     _unlearning_sigma,
     load_params,
@@ -87,9 +87,10 @@ def _write_data_dir(task: SyntheticTask, outdir: str) -> None:
 
 
 def _read_data_dir(cfg: RunConfig, path: str) -> SyntheticTask:
-    """The task in directory ``path``; a file that disagrees with ``cfg`` is a ``ConfigError``."""
-    from .objectives import LogisticObjective, QuadraticObjective
+    """The task in directory ``path``; a file that disagrees with ``cfg`` is a ``ConfigError``.
 
+    Only the unlearning client's file may flag rows, exactly ``cfg.forget_size``.
+    """
     datasets, bad = [], []
     for i, name in enumerate(_data_files(cfg.n_clients), start=1):
         with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
@@ -100,15 +101,13 @@ def _read_data_dir(cfg: RunConfig, path: str) -> SyntheticTask:
             bad.append(f"{name} has {data.dim} features, not dim={cfg.dim}")
         if i == cfg.unlearn_client and data.m != cfg.forget_size:
             bad.append(f"{name} flags {data.m} rows, not forget_size={cfg.forget_size}")
+        elif i != cfg.unlearn_client and data.m:
+            bad.append(f"{name} flags {data.m} rows; only the unlearning client's file may")
         datasets.append(data)
     if bad:
         raise ConfigError(bad)
     test = datasets.pop()
-    objective = (
-        QuadraticObjective(grad_bound=cfg.grad_bound)
-        if cfg.objective == "quadratic"
-        else LogisticObjective()
-    )
+    objective = _TASK_OBJECTIVES[cfg.objective]
     return SyntheticTask(objective, tuple(datasets), test.features, test.labels)
 
 

@@ -49,32 +49,20 @@ class Message:
 class Transcript:
     """A walk's hops as columns; payload hashes are made on each read.
 
-    The payloads are a narrow walk's iterates, an ``(H, d)`` array, or hash
-    strings: a wide walk's, or those of the messages or lines it was built
-    from. Two transcripts are equal when their messages are.
+    Hop ``t`` is round ``t``. ``payloads[t - 1]`` is its iterate, a row of a
+    narrow walk's ``(H, d)`` array, or that iterate's hash string, made at
+    the hop by a wide walk. Two transcripts are equal when their messages are.
     """
 
     __slots__ = ("rounds", "senders", "receivers", "at_target", "_payloads")
 
-    def __init__(self, messages):
-        messages = tuple(messages)
-        self.rounds = tuple(m.round for m in messages)
-        if any(a >= b for a, b in zip(self.rounds, self.rounds[1:])):
-            raise ValueError("rounds must be strictly increasing")
-        self.senders = tuple(m.sender for m in messages)
-        self.receivers = tuple(m.receiver for m in messages)
-        self.at_target = tuple(m.at_target for m in messages)
-        self._payloads = tuple(m.payload_hash for m in messages)
-
-    @classmethod
-    def _of_walk(cls, senders, receivers, target: int, payloads) -> "Transcript":
-        """Hop ``t`` is round ``t``; ``payloads[t - 1]`` is its iterate, or that one's hash."""
-        out = cls.__new__(cls)
-        out.rounds = range(1, len(receivers) + 1)
-        out.senders, out.receivers = tuple(senders), tuple(receivers)
-        out.at_target = tuple(cur == target for cur in receivers)
-        out._payloads = payloads
-        return out
+    def __init__(self, senders, receivers, target: int, payloads):
+        if not len(senders) == len(receivers) == len(payloads):
+            raise ValueError("a transcript needs one sender, receiver and payload per hop")
+        self.rounds = range(1, len(receivers) + 1)
+        self.senders, self.receivers = tuple(senders), tuple(receivers)
+        self.at_target = tuple(cur == target for cur in receivers)
+        self._payloads = payloads
 
     def _hashes(self):
         if isinstance(self._payloads, np.ndarray):
@@ -111,17 +99,6 @@ class Transcript:
                 self.rounds, self.senders, self.receivers, self.at_target, self._hashes()
             )
         ]
-
-    @staticmethod
-    def from_lines(lines) -> "Transcript":
-        msgs = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            rnd, snd, rcv, flag, digest = line.split(",")
-            msgs.append(Message(int(rnd), int(snd), int(rcv), bool(int(flag)), digest))
-        return Transcript(tuple(msgs))
 
 
 def route_uniform(current: int, graph: Graph, rng: np.random.Generator) -> int:

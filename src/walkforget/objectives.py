@@ -51,9 +51,9 @@ class QuadraticObjective:
     """0.5 * ||theta - z||^2 per example; labels are carried but unused."""
 
     grad_bound: float = math.inf  # valid over the feasible region in use
-    mu: float = 1.0
-    smoothness: float = 1.0
-    kind: str = "quadratic"
+    # unannotated, so class constants and not dataclass fields
+    kind = "quadratic"
+    smoothness = 1.0
 
     def mean_losses(self, theta, feats, labels):
         """Mean per-example loss along the ``n`` axis of ``(..., n, d)`` rows.
@@ -95,10 +95,11 @@ def _sigmoid(t):
 class LogisticObjective:
     """log(1 + exp(-y * <theta, x>)) with y in {-1, +1}."""
 
-    grad_bound: float = 1.0
-    mu: float = 0.0
-    smoothness: float = 0.25
-    kind: str = "logistic"
+    # unannotated, so class constants and not dataclass fields; features
+    # scaled to unit max norm make L = 1 (module docstring)
+    kind = "logistic"
+    grad_bound = 1.0
+    smoothness = 0.25
 
     def mean_losses(self, theta, feats, labels):
         """Mean per-example loss along the ``n`` axis of ``(..., n, d)`` rows.
@@ -369,6 +370,13 @@ class SyntheticTask:
         return self.datasets[client - 1]
 
 
+# The objective of every task by ``RunConfig.objective``, generated or read
+# from a data directory. The quadratic L is declared for the feasible ball
+# the protocols use; only ``alignment_bias_sweep`` reads it.
+_TASK_OBJECTIVES = {"quadratic": QuadraticObjective(grad_bound=4.0),
+                    "logistic": LogisticObjective()}
+
+
 def _recenter(points: np.ndarray, target: np.ndarray) -> np.ndarray:
     return points - points.mean(axis=0) + target
 
@@ -385,7 +393,6 @@ def make_quadratic_task(
     rng: np.random.Generator,
     *,
     center_spread: float = 5e-4,
-    grad_bound: float = 4.0,
 ) -> SyntheticTask:
     """Quadratic task: client point clouds with exact means at jittered centers.
 
@@ -394,8 +401,7 @@ def make_quadratic_task(
     (a unit shift along the first axis) and the retained subset back onto
     the center. Deletion therefore moves the exact optimum by a known
     amount, and the token walk's stationary wobble is set by
-    ``center_spread`` alone. ``grad_bound`` is the declared L, valid on the
-    feasible ball used by the protocols (callers pick the ball accordingly).
+    ``center_spread`` alone. Its objective is ``_TASK_OBJECTIVES["quadratic"]``.
     """
     shift = np.eye(1, dim)[0]
     features = np.empty((n_clients, local_size, dim))
@@ -413,7 +419,7 @@ def make_quadratic_task(
             forget = tuple(int(i) for i in idx)
         features[c - 1] = pts
         forgets.append(forget)
-    objective = QuadraticObjective(grad_bound=grad_bound)
+    objective = _TASK_OBJECTIVES["quadratic"]
     test = rng.normal(0.0, _POINT_SPREAD, size=(max(1, local_size), dim))
     datasets = _stacked_datasets(features, np.zeros((n_clients, local_size)), forgets)
     return SyntheticTask(objective, datasets, test, np.zeros(test.shape[0]))
@@ -519,7 +525,7 @@ def make_logistic_task(
     # one in-place pass over the stack has the bits of x / scale per block
     features /= scale
     test_x /= scale
-    objective = LogisticObjective(grad_bound=1.0)
+    objective = _TASK_OBJECTIVES["logistic"]
     return SyntheticTask(objective, _stacked_datasets(features, labels, forgets), test_x, test_y)
 
 

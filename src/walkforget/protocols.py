@@ -266,7 +266,7 @@ def _walk(cfg, objective, datasets, theta, hops, label, route, draw, step, r_dom
             trace.append(_trace_row(objective, retained_loss, forget_rows, t, cur, theta, at_u))
     return RunResult(
         final=ModelState(theta),
-        transcript=Transcript._of_walk(senders, receivers, cfg.unlearn_client, payloads),
+        transcript=Transcript(senders, receivers, cfg.unlearn_client, payloads),
         report=report,
         trace=tuple(trace) if trace is not None else None,
     )

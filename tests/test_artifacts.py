@@ -11,7 +11,6 @@ import pytest
 import walkforget
 from walkforget import (
     CorrectionMode,
-    Message,
     ModelState,
     RunConfig,
     RunResult,
@@ -118,7 +117,7 @@ def test_cli_artifacts_keep_their_bytes(tmp_path, capsys):
 
 def test_failed_write_leaves_no_partial_file(tmp_path):
     # the second trace row fails to format after the first is done
-    transcript = Transcript([Message(1, 1, 2, True, "00")])
+    transcript = Transcript((1,), (2,), 2, ["00"])
     good = (1, 2, 0.5, 0.25, 1.0, True)
     bad = (2, 1, "not a float", 0.25, 1.0, False)
     result = RunResult(ModelState(np.ones(2)), transcript, trace=(good, bad))

@@ -8,10 +8,11 @@ here, as a failed process or a problem, rather than first in a benchmark
 run. Each workload runs once untraced (mode 0) and once traced (mode 1).
 
 The per-hop names the benchmark counts are also checked in-process: each
-walk calls them through their module globals once per hop. And no walk
-calls numpy's dispatching wrappers ``np.where``, ``np.linalg.norm`` or
-``np.einsum`` per hop, so putting one back on the hop path fails here
-rather than first as a slower benchmark.
+walk calls them through their module globals once per hop, and builds its
+transcript through ``Transcript.__init__`` once. And no walk calls numpy's
+dispatching wrappers ``np.where``, ``np.linalg.norm`` or ``np.einsum`` per
+hop, so putting one back on the hop path fails here rather than first as a
+slower benchmark.
 """
 
 import json
@@ -110,6 +111,33 @@ def test_each_hop_calls_the_wrapped_names(calls):
     unlearned, got = counted_walk(protocols.run_unlearning, trained.final)
     # a restart hop that misses the target is a route_uniform step away from it
     assert got == (h, h, h - unlearned.transcript.target_visits(), h)
+
+
+def test_each_walk_builds_one_transcript(monkeypatch):
+    # the benchmark's network.transcript.ms times Transcript.__init__, so a
+    # walk's transcript must be built through it, once per walk
+    built = []
+    init = network.Transcript.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(network.Transcript, "__init__", counted)
+    cfg = RunConfig(**{**POINT_SHAPE, "train_hops": 30, "unlearn_hops": 30})
+    task = make_task(cfg)
+
+    def built_by(runner, *args):
+        built.clear()
+        result = runner(cfg, task.objective, list(task.datasets), *args)
+        assert len(result.transcript) == 30
+        return result, len(built)
+
+    trained, n = built_by(protocols.run_token_training)
+    assert n == 1
+    assert built_by(protocols.run_private_baseline)[1] == 1
+    assert built_by(protocols.run_unlearning, trained.final)[1] == 1
+    assert built_by(protocols.run_certifier)[1] == 2  # its training walk, then its unlearning walk
 
 
 # numpy functions whose Python-level dispatch costs more than the hop kernels

@@ -221,20 +221,43 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "field,made,read",
-        [("dim", 3, 5), ("local_size", 20, 30), ("forget_size", 4, 3)],
+        [("dim", 3, 5), ("local_size", 20, 30), ("forget_size", 4, 3),
+         # `read` rows flagged in a file other than the unlearning client's
+         ("client_03.txt", 0, 1), ("test.txt", 0, 1)],
     )
     def test_data_that_disagrees_with_the_config_fails_before_output(
         self, tmp_path, capsys, field, made, read
     ):
         data, out = tmp_path / "data", tmp_path / "o"
-        assert main(["gen-data", "--config", write_cfg(tmp_path, **{field: made}),
+        stray = field.endswith(".txt")
+        made_kw, read_kw = ({}, {}) if stray else ({field: made}, {field: read})
+        assert main(["gen-data", "--config", write_cfg(tmp_path, **made_kw),
                      "--out", str(data)]) == 0
-        cfg = write_cfg(tmp_path, **{field: read})
+        if stray:
+            rows = (data / field).read_text().splitlines()
+            rows[:read] = [row[:-1] + "1" for row in rows[:read]]
+            (data / field).write_text("\n".join(rows) + "\n")
+        cfg = write_cfg(tmp_path, **read_kw)
         assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and err.count("\n") == 1
-        assert "client_02.txt" in err and f"not {field}={read}" in err
+        if stray:
+            assert f"{field} flags {read} rows; only the unlearning client's" in err
+        else:
+            assert "client_02.txt" in err and f"not {field}={read}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("objective", ["logistic", "quadratic"])
+    def test_read_data_has_the_generated_objective(self, tmp_path, objective):
+        from walkforget import config_from_file, make_task
+        from walkforget.cli import _read_data_dir
+
+        cfg = write_cfg(tmp_path, objective=objective)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+        cfg = config_from_file(cfg)
+        read = _read_data_dir(cfg, str(tmp_path / "data")).objective
+        made = make_task(cfg).objective
+        assert read == made and read.kind == objective  # a quadratic's L is in ==
 
     def test_init_that_disagrees_with_the_config_fails_before_output(self, tmp_path, capsys):
         import numpy as np

@@ -246,7 +246,7 @@ class TestConfigFile:
         assert cfg.seed == 9
 
 
-# Every setting has a caller. Adding a field to either census below is a
+# Every setting has a caller. Adding a field to any census below is a
 # decision to edit this test.
 RUN_CONFIG_FIELDS = (
     "n_clients", "dim", "train_hops", "unlearn_hops", "p", "s", "eta", "stepsize_rule",
@@ -258,15 +258,20 @@ CAPACITY_INPUT_FIELDS = (
     "eps", "delta", "n_clients", "dim", "horizon", "radius", "grad_bound", "mu", "s",
     "p", "local_size", "gamma", "bias_constant",
 )
+# a quadratic task's L depends on its feasible ball; the rest are constants
+OBJECTIVE_FIELDS = {"QuadraticObjective": ("grad_bound",), "LogisticObjective": ()}
 
 
 def test_settings_census():
     from dataclasses import fields
 
+    import walkforget
     from walkforget import CapacityInputs
 
     assert tuple(f.name for f in fields(RunConfig)) == RUN_CONFIG_FIELDS
     assert tuple(f.name for f in fields(CapacityInputs)) == CAPACITY_INPUT_FIELDS
+    for name, want in OBJECTIVE_FIELDS.items():
+        assert tuple(f.name for f in fields(getattr(walkforget, name))) == want
 
 
 def test_package_reexports_each_module_all():

@@ -8,7 +8,6 @@ import pytest
 
 from walkforget import (
     Graph,
-    Message,
     RunConfig,
     Transcript,
     make_task,
@@ -96,32 +95,6 @@ class TestGeometricMixing:
         assert chi2 < CHI2_999_DOF20
 
 
-def _walk_transcript(n_clients=6, hops=1000, seed=11):
-    g = Graph.complete(n_clients)
-    rng = substream(seed, "walk")
-    prev = 1
-    msgs = []
-    for t in range(1, hops + 1):
-        cur = route_uniform(prev, g, rng)
-        msgs.append(Message(t, prev, cur, cur == 2, f"{t:04x}"))
-        prev = cur
-    return Transcript(tuple(msgs))
-
-
-class TestTranscriptExport:
-    def test_line_round_trip(self, walk_task):
-        # a transcript of messages, and one of each protocol's walks
-        walks = [_walk(kind, walk_task).transcript for kind in WALK_KINDS]
-        for tr in (_walk_transcript(hops=25), *walks):
-            again = Transcript.from_lines(tr.to_lines())
-            assert again == tr
-            assert again.to_lines() == tr.to_lines()
-
-    def test_rounds_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            Transcript((Message(2, 1, 2, False, "aa"), Message(1, 2, 3, False, "bb")))
-
-
 WALK_CFG = RunConfig(n_clients=4, dim=3, local_size=12, forget_size=3, seed=5, unlearn_client=2,
                      p=0.3, s=2, batch_size=3, train_hops=40, unlearn_hops=40, sigma=0.4,
                      domain_radius=1.0, trust_radius=0.3, eta=0.4)
@@ -183,6 +156,12 @@ class TestWalkTranscript:
         assert size == len(msgs) == sum(counts)
         assert counts == [sum(m.receiver == c for m in msgs) for c in range(1, 5)]
         assert at_target == sum(m.at_target for m in msgs) == counts[WALK_CFG.unlearn_client - 1]
+
+    def test_columns_make_the_lines(self):
+        transcript = Transcript((3, 2), (2, 1), 2, ["aa", "bb"])
+        assert transcript.to_lines() == ["1,3,2,1,aa", "2,2,1,0,bb"]
+        with pytest.raises(ValueError, match="one sender, receiver and payload per hop"):
+            Transcript((3, 2), (2, 1), 2, ["aa"])
 
     @pytest.mark.parametrize("dim", [WALK_CFG.dim, protocols._KEPT_DIM + 1])
     def test_iterates_are_copies(self, dim, walk_task):

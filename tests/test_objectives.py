@@ -159,7 +159,7 @@ class TestCorrectiveGradient:
     def test_lightweight_norm_bound(self):
         # per-example gradient norm <= L, so the scaled step obeys (m/n) L
         rng = substream(16, "corr")
-        obj = LogisticObjective(grad_bound=1.0)
+        obj = LogisticObjective()
         for _ in range(1000):
             n = int(rng.integers(5, 40))
             m = int(rng.integers(1, n))
