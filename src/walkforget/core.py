@@ -50,6 +50,12 @@ def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+# The most values drawn ahead at once (but at least one unit's worth): a
+# walk's schedule block (protocols._schedule) and a chunk of a logistic
+# task's clients (objectives.make_logistic_task) each hold at most this many.
+_BLOCK_VALUES = 1 << 13
+
+
 def _bounded_get(store, key, capacity: int, make):
     """``store[key]``, made by ``make()`` on a miss and kept in ``store``.
 
@@ -114,6 +120,9 @@ class Graph:
         return Graph(num_clients=num_clients)
 
 
+_FLOAT64 = np.dtype(np.float64)  # compared with, not rebuilt from np.float64 each time
+
+
 def _frozen_array(values) -> np.ndarray:
     """``values`` as a read-only C-ordered float64 array, so that equal values give equal runs.
 
@@ -122,14 +131,18 @@ def _frozen_array(values) -> np.ndarray:
     is read-only. Anything else is copied, so no later write to the source
     can reach the result.
     """
-    if type(values) is np.ndarray and values.dtype == np.float64 and values.flags.c_contiguous:
-        arr = values
-        while isinstance(arr, np.ndarray) and not arr.flags.writeable:
-            if arr.base is None:
-                if arr.flags.owndata:
-                    return values
-                break
-            arr = arr.base
+    if type(values) is np.ndarray and values.dtype == _FLOAT64:
+        arr, flags = values, values.flags  # each .flags read builds an object
+        if flags.c_contiguous:
+            while not flags.writeable:
+                if arr.base is None:
+                    if flags.owndata:
+                        return values
+                    break
+                arr = arr.base
+                if not isinstance(arr, np.ndarray):
+                    break
+                flags = arr.flags
     arr = np.array(values, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
@@ -230,13 +243,16 @@ class ClientDataset:
             raise ValueError("features must be a (n, d) array")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must align with features")
-        idx = tuple(sorted(int(i) for i in self.forget_indices))
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labs)
+        idx = self.forget_indices
+        if type(idx) is tuple and not idx:
+            return  # no forget rows, the usual case: nothing to sort or check
+        idx = tuple(sorted(int(i) for i in idx))
         if len(set(idx)) != len(idx):
             raise ValueError("forget indices must be unique")
         if idx and (idx[0] < 0 or idx[-1] >= feats.shape[0]):
             raise ValueError("forget indices out of range")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "forget_indices", idx)
 
     @property
@@ -305,12 +321,12 @@ def _stacked_datasets(features: np.ndarray, labels: np.ndarray, forgets) -> tupl
     """
     features.setflags(write=False)
     labels.setflags(write=False)
-    datasets = tuple(
-        ClientDataset(features[i], labels[i], forget) for i, forget in enumerate(forgets)
-    )
-    for i, data in enumerate(datasets):
+    datasets = []
+    for i, forget in enumerate(forgets):
+        data = ClientDataset(features[i], labels[i], forget)
         object.__setattr__(data, "_stack_row", i)
-    return datasets
+        datasets.append(data)
+    return tuple(datasets)
 
 
 class CorrectionMode(Enum):

@@ -25,7 +25,7 @@ try:  # einsum's kernel, without np.einsum's dispatcher and wrapper
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
-from .core import ClientDataset, CorrectionMode, _norm, _stacked_datasets
+from .core import _BLOCK_VALUES, ClientDataset, CorrectionMode, _norm, _stacked_datasets
 
 __all__ = [
     "QuadraticObjective",
@@ -384,6 +384,14 @@ def _recenter(points: np.ndarray, target: np.ndarray) -> np.ndarray:
 _POINT_SPREAD = 0.5  # standard deviation of a quadratic task's points, per axis
 
 
+def _check_forget_set(n_clients, local_size, forget_size, unlearn_client):
+    """Refuse, before any draw, a forget set that a generator cannot place."""
+    if not 1 <= unlearn_client <= n_clients:
+        raise ValueError(f"unlearn_client={unlearn_client} must lie in [1..n_clients={n_clients}]")
+    if not 0 <= forget_size <= local_size:
+        raise ValueError(f"forget_size={forget_size} must lie in [0..local_size={local_size}]")
+
+
 def make_quadratic_task(
     n_clients: int,
     dim: int,
@@ -403,6 +411,7 @@ def make_quadratic_task(
     amount, and the token walk's stationary wobble is set by
     ``center_spread`` alone. Its objective is ``_TASK_OBJECTIVES["quadratic"]``.
     """
+    _check_forget_set(n_clients, local_size, forget_size, unlearn_client)
     shift = np.eye(1, dim)[0]
     features = np.empty((n_clients, local_size, dim))
     forgets = []
@@ -461,7 +470,12 @@ def make_logistic_task(
     0.92, then stored with the flipped label +1. Features are rescaled
     afterwards so the max norm is one, which makes the declared gradient
     bound L = 1 exact.
+
+    Clients are drawn a chunk of at most ``_BLOCK_VALUES`` values (and at
+    least one client) at a time, with the bits of drawing them one by one.
+    A forget set it cannot place raises ``ValueError`` before any draw.
     """
+    _check_forget_set(n_clients, local_size, forget_size, unlearn_client)
     if dim < 2:
         raise ValueError("logistic task needs dim >= 2")
     if forget_size > 0:
@@ -477,10 +491,12 @@ def make_logistic_task(
     w_true[: dim - 1] = rng.normal(0.0, 1.0, size=dim - 1)
     w_true /= _norm(w_true)
 
+    root = math.sqrt(dim)
+
     def sample_clean(n):
         """``n`` clean rows and their true margins ``x @ w_true``."""
-        x = rng.normal(0.0, 1.0, size=(n, dim)) / math.sqrt(dim)
-        x[:, dim - 1] = rng.normal(0.0, 1.0, size=n) / math.sqrt(dim)
+        x = rng.normal(0.0, 1.0, size=(n, dim)) / root
+        x[:, dim - 1] = rng.normal(0.0, 1.0, size=n) / root
         return x, x @ w_true
 
     def sample_confident_negative(n):
@@ -495,30 +511,43 @@ def make_logistic_task(
             got += take
         return out
 
-    # Each client's rows go into its slot of one (N, n, d) features stack and
-    # one (N, n) labels stack as soon as they are drawn, and the largest row
-    # norm is tracked block by block, so the rows exist once, plus one block.
+    # Clients are drawn a chunk at a time straight into their rows of one
+    # (N, n, d) features stack and one (N, n) labels stack, and the largest
+    # row norm is tracked per chunk, so the rows exist once, plus one chunk's
+    # draws. With scalar loc and scale, rng.normal draws one value at a time,
+    # alone or in an array, so row j of a chunk's (k, n*d + n) draw is client
+    # j's (n, d) block and then its n last-column values, as sample_clean
+    # draws them. The unlearning client ends its chunk: its forget rows are
+    # drawn before the next client's rows.
     features = np.empty((n_clients, local_size, dim))
     labels = np.empty((n_clients, local_size))
-    forgets = []
+    forgets = [()] * n_clients
     top = 0.0
-    for c in range(1, n_clients + 1):
-        x, margins = sample_clean(local_size)
-        y = np.where(margins >= 0.0, 1.0, -1.0)
-        forget = ()
-        if c == unlearn_client and forget_size > 0:
+    block = local_size * dim
+    per_chunk = max(1, _BLOCK_VALUES // max(1, block + local_size))
+    unlearn = unlearn_client if forget_size > 0 else 0
+    lo = 0
+    while lo < n_clients:
+        hi = min(lo + per_chunk, n_clients)
+        if lo < unlearn <= hi:
+            hi = unlearn
+        draws = rng.normal(0.0, 1.0, size=(hi - lo, block + local_size))
+        x = features[lo:hi]
+        np.divide(draws[:, :block].reshape(x.shape), root, out=x)
+        x[:, :, dim - 1] = draws[:, block:] / root
+        del draws  # freed before the norm's temporary
+        # the stacked matmul runs one gemv per client, sample_clean's x @ w_true
+        labels[lo:hi] = np.where(x @ w_true >= 0.0, 1.0, -1.0)
+        if hi == unlearn:
             xb = sample_confident_negative(forget_size)
             xb = 0.3 * xb
             xb[:, dim - 1] += 0.92
             idx = rng.permutation(local_size)[:forget_size]
-            x[idx] = xb
-            y[idx] = 1.0  # flipped: true label is -1 by construction
-            forget = tuple(int(i) for i in idx)
-        top = max(top, _max_row_norm(x))
-        features[c - 1] = x
-        labels[c - 1] = y
-        forgets.append(forget)
-        del x, y  # freed before the next block is drawn
+            features[hi - 1, idx] = xb
+            labels[hi - 1, idx] = 1.0  # flipped: true label is -1 by construction
+            forgets[hi - 1] = tuple(int(i) for i in idx)
+        top = max(top, _max_row_norm(x.reshape(-1, dim)))
+        lo = hi
     test_x, margins = sample_clean(test_size)
     test_y = np.where(margins >= 0.0, 1.0, -1.0)
     scale = max(top, _max_row_norm(test_x), 1e-12)

@@ -53,6 +53,7 @@ from .core import (
     Graph,
     ModelState,
     RunConfig,
+    _BLOCK_VALUES,
     _bounded_get,
     _check_outdir,
     _norm,
@@ -200,12 +201,11 @@ def _minibatches(rng, highs: list, counts: list):
             end += k
 
 
-# A schedule block holds at most this many hops, and at most this many
-# minibatch indices or noise values (but at least one hop), so a walk holds
-# little drawn ahead. Of 16, 32, 64, 128 and 256 hops, 64 gave a run_point
-# the lowest peak memory.
+# A schedule block holds at most this many hops, and at most
+# core._BLOCK_VALUES minibatch indices or noise values (but at least one
+# hop), so a walk holds little drawn ahead. Of 16, 32, 64, 128 and 256 hops,
+# 64 gave a run_point the lowest peak memory.
 _BLOCK_HOPS = 64
-_BLOCK_VALUES = 1 << 13
 
 
 def _schedule(cfg, label, hops, route, draw, dim, r_dom, G):

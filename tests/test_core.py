@@ -89,6 +89,22 @@ class TestClientDataset:
         with pytest.raises(ValueError):
             ClientDataset(np.zeros((3, 2)), np.zeros(3), (5,))
 
+    @pytest.mark.parametrize("given, want", [
+        ((), ()), ([], ()), (np.array([], dtype=int), ()), (iter(()), ()),
+        ((3, 0), (0, 3)), (np.array([4, 1]), (1, 4)), (range(2), (0, 1)),
+    ])
+    def test_forget_indices_become_a_sorted_tuple_of_ints(self, given, want):
+        data = ClientDataset(np.zeros((5, 2)), np.zeros(5), given)
+        assert type(data.forget_indices) is tuple and data.forget_indices == want
+        assert all(type(i) is int for i in data.forget_indices)
+
+    @pytest.mark.parametrize("forget, match", [
+        ((1, 1), "unique"), ([2, 2], "unique"), ((-1,), "out of range"), ((0, 5), "out of range"),
+    ])
+    def test_bad_forget_indices_are_refused(self, forget, match):
+        with pytest.raises(ValueError, match=match):
+            ClientDataset(np.zeros((5, 2)), np.zeros(5), forget)
+
     @pytest.mark.parametrize("layout", ["F", "strided"])
     def test_features_are_stored_c_ordered(self, layout):
         # the gradient kernels sum C-ordered rows in one order: store that one

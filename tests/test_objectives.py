@@ -28,6 +28,8 @@ from walkforget import (
     make_task,
     substream,
 )
+from walkforget import objectives
+from walkforget.core import _BLOCK_VALUES, _stacked_datasets
 
 
 def _random_logistic_data(rng, n=20, d=6, m=0):
@@ -292,11 +294,26 @@ TASK_CASES = {
                            local_size=200, forget_size=20, test_size=500),
     "quadratic": dict(seed=803, objective="quadratic", n_clients=5, dim=8,
                       local_size=40, forget_size=6, unlearn_client=3),
+    # many clients a chunk of make_logistic_task's draws, recorded while it
+    # still drew one client at a time: the wide-traced shape, the unlearning
+    # client between chunks and last, and no forget rows
+    "wide-traced": dict(seed=804, objective="logistic", n_clients=2000, dim=20,
+                        local_size=20, forget_size=5, unlearn_client=1, test_size=200),
+    "unlearn-middle": dict(seed=805, objective="logistic", n_clients=300, dim=6,
+                           local_size=13, forget_size=4, unlearn_client=150, test_size=50),
+    "unlearn-last": dict(seed=806, objective="logistic", n_clients=300, dim=6,
+                         local_size=13, forget_size=4, unlearn_client=300, test_size=50),
+    "no-forget": dict(seed=807, objective="logistic", n_clients=300, dim=6,
+                      local_size=13, forget_size=0, unlearn_client=150, test_size=50),
 }
 TASK_DIGESTS = {
     "point-boundary": "d8c899c2586519b7ed209507506474d6d8fac9515076aac21b7579c4d487c022",
     "quadratic": "ca4ab894b156ecfad8d2dd75afb5f32e6a6f3ec13be839c9aab5985b54519cf9",
     "sweep-p": "6a397bc4c62e8b9a55a6cee1303a34b101ce7f95ad464852a7041e90f21d445f",
+    "wide-traced": "2c28b03eb29fb99f971f87195e326d6f026e9f64ecc3691f41ae58276bc173c5",
+    "unlearn-middle": "fe68a0741d60b147d1f5887b897bab64a63437b786f00d8683a32e84282b279a",
+    "unlearn-last": "f38ebcb1896d5f8afde68bfe25ff98631809005d23a6003d64c9c48b3cffb462",
+    "no-forget": "3663b83de83245de639e1a8753f0f515075c72c6c908e16a1f893b49302ac8f9",
 }
 
 
@@ -331,6 +348,93 @@ def test_make_logistic_task_peak_is_the_task_plus_two_client_blocks():
     output = sum(d.features.nbytes + d.labels.nbytes for d in task.datasets)
     output += task.test_features.nbytes + task.test_labels.nbytes
     assert peak - output <= 2 * local_size * dim * 8
+
+
+WIDE = TASK_CASES["wide-traced"]
+WIDE_ARGS = (WIDE["n_clients"], WIDE["dim"], WIDE["local_size"], WIDE["forget_size"],
+             WIDE["unlearn_client"])
+
+
+def test_make_logistic_task_holds_one_chunk_in_flight_at_many_small_clients(monkeypatch):
+    # the wide-traced shape: 19 clients a chunk. What the generator holds
+    # when it hands its stacks over, and the most it held before, differ by
+    # the draws in flight, which the chunk budget bounds, not N
+    seen = {}
+
+    def stacked(features, labels, forgets):
+        seen["held"], seen["peak"] = tracemalloc.get_traced_memory()
+        return _stacked_datasets(features, labels, forgets)
+
+    monkeypatch.setattr(objectives, "_stacked_datasets", stacked)
+    rng = substream(WIDE["seed"], "data")
+    tracemalloc.start()
+    try:
+        make_logistic_task(*WIDE_ARGS, rng, test_size=WIDE["test_size"])
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] - seen["held"] <= 2 * _BLOCK_VALUES * 8
+
+
+class _CountingRng:
+    """Forwards to a generator and counts its ``normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_make_logistic_task_draws_a_chunk_of_clients_per_normal_call():
+    n_clients, dim, local_size = WIDE_ARGS[:3]
+    rng = _CountingRng(substream(WIDE["seed"], "data"))
+    task = make_logistic_task(*WIDE_ARGS, rng, test_size=WIDE["test_size"])
+    assert _task_digest(task) == TASK_DIGESTS["wide-traced"]
+    per_chunk = _BLOCK_VALUES // (local_size * dim + local_size)
+    chunks = -(-n_clients // per_chunk) + 1  # the unlearning client ends one early
+    # w_true, the test set, and two calls per round of forget-row candidates
+    assert per_chunk > 1 and rng.normal_calls <= chunks + 3 + 2 * 10
+
+
+@st.composite
+def task_shapes(draw):
+    """(N, d, n, m, u, seed): up to 40 clients of up to 15 rows in 2-8 dimensions."""
+    n_clients = draw(st.integers(1, 40))
+    local_size = draw(st.integers(1, 15))
+    return (n_clients, draw(st.integers(2, 8)), local_size, draw(st.integers(0, local_size)),
+            draw(st.integers(1, n_clients)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_shapes(), st.integers(2, 300))
+def test_make_logistic_task_is_the_same_for_any_chunk_size(shape, budget):
+    # budget 1 is one client a chunk (the one-by-one order), 2**40 one chunk
+    # for the whole task, and anything between cuts the chunks elsewhere
+    *args, seed = shape
+    digests = set()
+    for values in (1, budget, 2**40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "_BLOCK_VALUES", values)
+            task = make_logistic_task(*args, np.random.default_rng(seed), test_size=7)
+        digests.add(_task_digest(task))
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("make", [make_logistic_task, make_quadratic_task])
+@pytest.mark.parametrize("forget_size, unlearn_client, name", [
+    (1, 0, "unlearn_client"), (1, 5, "unlearn_client"), (0, -1, "unlearn_client"),
+    (-1, 1, "forget_size"), (7, 2, "forget_size"),
+])
+def test_generators_refuse_a_forget_set_they_cannot_place(make, forget_size, unlearn_client, name):
+    rng = substream(44, "data")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=rf"^{name}="):
+        make(4, 3, 6, forget_size, unlearn_client, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
 
 
 @pytest.mark.parametrize("case", sorted(TASK_CASES))
