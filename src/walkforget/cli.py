@@ -15,6 +15,8 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
+
 from . import __version__
 from .accountant import (
     CalibrationError,
@@ -89,12 +91,19 @@ def _write_data_dir(task: SyntheticTask, outdir: str) -> None:
 def _read_data_dir(cfg: RunConfig, path: str) -> SyntheticTask:
     """The task in directory ``path``; a file that disagrees with ``cfg`` is a ``ConfigError``.
 
-    Only the unlearning client's file may flag rows, exactly ``cfg.forget_size``.
+    Only the unlearning client's file may flag rows, exactly ``cfg.forget_size``,
+    and a logistic task's labels are -1 or +1.
     """
     datasets, bad = [], []
     for i, name in enumerate(_data_files(cfg.n_clients), start=1):
         with open(os.path.join(path, name), "r", encoding="utf-8") as fh:
-            data = dataset_from_lines(fh)
+            try:
+                data = dataset_from_lines(fh)
+            except ValueError as exc:
+                bad.append(f"{name}: {exc}")
+                continue
+        if cfg.objective == "logistic" and np.any(np.abs(data.labels) != 1.0):
+            bad.append(f"{name} has labels other than -1 and +1, which objective=logistic needs")
         if i <= cfg.n_clients and data.n_u != cfg.local_size:
             bad.append(f"{name} has {data.n_u} rows, not local_size={cfg.local_size}")
         if data.dim != cfg.dim:
@@ -123,6 +132,8 @@ def _run_inputs(args) -> tuple:
     theta0 = load_params(init) if init else None
     if theta0 is not None and theta0.shape[0] != cfg.dim:
         raise ConfigError([f"{init} holds {theta0.shape[0]} values, not dim={cfg.dim}"])
+    if theta0 is not None and not np.isfinite(theta0).all():
+        raise ConfigError([f"{init} holds a value that is not finite"])
     _check_outdir(args.out, args.force, "--force")
     return cfg, task, theta0
 
@@ -235,6 +246,8 @@ def _parse_sweep(items) -> dict:
             raise ConfigError([f"unknown key '{key}'"])
         if key == "seed":
             raise ConfigError(["seed cannot be swept; list seeds with --seeds"])
+        if key in sweep:
+            raise ConfigError([f"{key} is swept twice; list its values in one --sweep"])
         typ = float if key == "sigma" else types[key]
         if typ not in (int, float):
             raise ConfigError([f"{key} is not numeric and cannot be swept"])

@@ -37,15 +37,15 @@ __all__ = [
 ]
 
 
-def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
+def substream(seed: int, label: str) -> np.random.Generator:
     """Return the generator for one labeled subsystem of a run.
 
-    Streams for distinct (seed, label, index) triples are statistically
-    independent and bit-reproducible: the triple is hashed with SHA-256
-    into the generator entropy, so e.g. routing draws do not perturb the
-    noise stream when a config knob changes.
+    Streams for distinct (seed, label) pairs are statistically independent
+    and bit-reproducible: ``seed|label|0`` is hashed with SHA-256 into the
+    generator entropy, so e.g. routing draws do not perturb the noise
+    stream when a config knob changes.
     """
-    digest = hashlib.sha256(f"{seed}|{label}|{index}".encode()).digest()
+    digest = hashlib.sha256(f"{seed}|{label}|0".encode()).digest()
     entropy = int.from_bytes(digest[:16], "little")
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -513,9 +513,9 @@ def _field_types() -> dict:
 
 
 def config_from_text(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse a key=value config file; unknown keys are an error (fail-closed)."""
+    """Parse a key=value config file; an unknown or repeated key is an error (fail-closed)."""
     types = _field_types()
-    kw = {}
+    kw, seen = {}, set()
     problems = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -529,6 +529,10 @@ def config_from_text(text: str, overrides: dict | None = None) -> RunConfig:
         if key not in types:
             problems.append(f"unknown key '{key}'")
             continue
+        if key in seen:
+            problems.append(f"line {lineno}: key '{key}' given twice")
+            continue
+        seen.add(key)
         try:
             kw[key] = _parse_value(key, val, types[key])
         except ConfigError as exc:

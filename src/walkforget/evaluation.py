@@ -20,6 +20,7 @@ from .core import (
     ClientDataset,
     ConfigError,
     CorrectionMode,
+    Graph,
     RunConfig,
     _bounded_get,
     _fmt,
@@ -28,6 +29,7 @@ from .core import (
     substream,
     validate_config,
 )
+from .network import route_restart_many
 from .objectives import (
     closed_form_optimum,
     corrective_gradient,
@@ -83,12 +85,11 @@ def evaluate(
     test_labels,
     unlearn_client: int,
     certifier_params=None,
-    optimum=None,
 ) -> Metrics:
     """All utility and forgetting metrics for one parameter vector.
 
-    ``certifier_params`` enables the parameter-distance field; ``optimum``
-    overrides the closed-form minimizer used for the quadratic excess risk.
+    ``certifier_params`` enables the parameter-distance field; the quadratic
+    excess risk is measured against the closed-form retained minimizer.
     """
     theta = np.asarray(theta, dtype=np.float64)
     forget = datasets[unlearn_client - 1].forget_rows
@@ -104,11 +105,7 @@ def evaluate(
         distance = _norm(theta - np.asarray(certifier_params))
     excess = None
     if objective.kind == "quadratic":
-        star = (
-            closed_form_optimum(objective, datasets, exclude_forget=True)
-            if optimum is None
-            else np.asarray(optimum)
-        )
+        star = closed_form_optimum(objective, datasets, exclude_forget=True)
         excess = retained_loss - global_loss(objective, datasets, star, exclude_forget=True)
     return Metrics(
         clean_accuracy=clean_acc,
@@ -120,6 +117,18 @@ def evaluate(
     )
 
 
+def _hop_direction(objective, datasets, unlearn_client, theta, mode, client) -> np.ndarray:
+    """One noiseless full-batch hop's update at ``client``, divided by the stepsize.
+
+    Corrective ascent at the unlearning client, descent on the local
+    gradient anywhere else.
+    """
+    data = datasets[client - 1]
+    if client == unlearn_client:
+        return corrective_gradient(objective, data, theta, mode)
+    return -grad_local(objective, data, theta, "full")
+
+
 def expected_update_direction(
     objective, datasets, unlearn_client: int, theta: np.ndarray, p: float, mode: CorrectionMode
 ) -> np.ndarray:
@@ -129,15 +138,10 @@ def expected_update_direction(
     p * (corrective ascent direction at the unlearning client)
     - (1 - p) * (average descent gradient over the other clients).
     """
-    data_u = datasets[unlearn_client - 1]
-    others = [
-        grad_local(objective, d, theta, "full")
-        for i, d in enumerate(datasets)
-        if i != unlearn_client - 1
-    ]
-    g_not_u = np.mean(others, axis=0)
-    g_u = corrective_gradient(objective, data_u, theta, mode)
-    return p * g_u - (1.0 - p) * g_not_u
+    g_u = _hop_direction(objective, datasets, unlearn_client, theta, mode, unlearn_client)
+    others = [_hop_direction(objective, datasets, unlearn_client, theta, mode, c)
+              for c in range(1, len(datasets) + 1) if c != unlearn_client]
+    return p * g_u + (1.0 - p) * np.mean(others, axis=0)
 
 
 def monte_carlo_update_direction(
@@ -156,22 +160,13 @@ def monte_carlo_update_direction(
     so each client's update direction is computed once and weighted by its
     empirical frequency over ``draws`` routing samples.
     """
-    from .core import Graph
-    from .network import route_restart_many
-
     n_clients = len(datasets)
-    graph = Graph.complete(n_clients)
-    picks = route_restart_many(unlearn_client, p, graph, rng, draws)
+    picks = route_restart_many(unlearn_client, p, Graph.complete(n_clients), rng, draws)
+    counts = np.bincount(picks, minlength=n_clients + 1).tolist()
     acc = np.zeros_like(theta, dtype=np.float64)
     for c in range(1, n_clients + 1):
-        count = int(np.sum(picks == c))
-        if count == 0:
-            continue
-        if c == unlearn_client:
-            direction = corrective_gradient(objective, datasets[c - 1], theta, mode)
-        else:
-            direction = -grad_local(objective, datasets[c - 1], theta, "full")
-        acc += count * direction
+        if counts[c]:
+            acc += counts[c] * _hop_direction(objective, datasets, unlearn_client, theta, mode, c)
     return acc / draws
 
 
@@ -182,10 +177,9 @@ _TASK_FIELDS = (
 )
 
 
-def make_task(cfg: RunConfig, rng=None):
-    """Generate the synthetic task named by the config."""
-    if rng is None:
-        rng = substream(cfg.seed, "data")
+def make_task(cfg: RunConfig):
+    """Generate the synthetic task named by the config, from its ``data`` substream."""
+    rng = substream(cfg.seed, "data")
     args = (cfg.n_clients, cfg.dim, cfg.local_size, cfg.forget_size, cfg.unlearn_client, rng)
     if cfg.objective == "quadratic":
         return make_quadratic_task(*args)
@@ -242,14 +236,10 @@ def run_point(cfg: RunConfig, task=None) -> list:
     trace, and the rows do not depend on it.
     """
     cfg = validate_config(cfg).replace(trace=False)
+    _unlearning_sigma(cfg)  # an unverifiable calibration costs no walk
     if task is None:
         task = make_task(cfg)
     objective, datasets = task.objective, list(task.datasets)
-    optimum = (
-        closed_form_optimum(objective, datasets, exclude_forget=True)
-        if objective.kind == "quadratic"
-        else None
-    )
     trained = run_token_training(cfg, objective, datasets)
     cert = run_certifier(cfg, objective, datasets)
     post = run_unlearning(cfg, objective, datasets, theta0=trained.final)
@@ -259,7 +249,6 @@ def run_point(cfg: RunConfig, task=None) -> list:
         test_labels=task.test_labels,
         unlearn_client=cfg.unlearn_client,
         certifier_params=cert.final.params,
-        optimum=optimum,
     )
     rows = []
     for phase, run in (("pre", trained), ("post", post), ("certifier", cert)):
@@ -346,21 +335,18 @@ def alignment_bias_sweep(
     unlearn_client: int,
     m_values,
     rng,
-    p: float | None = None,
     n_points: int = 10,
 ) -> list:
     """Measured lightweight-alignment bias against the 2 L m / n_u envelope.
 
     For each forget-set size m the bias is the gap between the exact mean
-    update direction (routing mixture, full-batch gradients, no noise) and
-    minus the retained-data gradient, maximized over theta points sampled
-    within 0.05 L / smoothness of the unlearning client's retained
+    update direction (routing mixture at p = 1/N, full-batch gradients, no
+    noise) and minus the retained-data gradient, maximized over theta points
+    sampled within 0.05 L / smoothness of the unlearning client's retained
     minimizer, where the unlearning trajectory concentrates. Rows: (m, max
     bias norm, envelope).
     """
-    n_clients = len(datasets)
-    if p is None:
-        p = 1.0 / n_clients
+    p = 1.0 / len(datasets)
     data_u = datasets[unlearn_client - 1]
     n_u = data_u.n_u
     order = rng.permutation(n_u)

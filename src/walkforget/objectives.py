@@ -382,6 +382,7 @@ def _recenter(points: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 _POINT_SPREAD = 0.5  # standard deviation of a quadratic task's points, per axis
+_CENTER_SPREAD = 5e-4  # standard deviation of its client centers, per axis
 
 
 def _check_forget_set(n_clients, local_size, forget_size, unlearn_client):
@@ -399,8 +400,6 @@ def make_quadratic_task(
     forget_size: int,
     unlearn_client: int,
     rng: np.random.Generator,
-    *,
-    center_spread: float = 5e-4,
 ) -> SyntheticTask:
     """Quadratic task: client point clouds with exact means at jittered centers.
 
@@ -409,14 +408,14 @@ def make_quadratic_task(
     (a unit shift along the first axis) and the retained subset back onto
     the center. Deletion therefore moves the exact optimum by a known
     amount, and the token walk's stationary wobble is set by
-    ``center_spread`` alone. Its objective is ``_TASK_OBJECTIVES["quadratic"]``.
+    ``_CENTER_SPREAD`` alone. Its objective is ``_TASK_OBJECTIVES["quadratic"]``.
     """
     _check_forget_set(n_clients, local_size, forget_size, unlearn_client)
     shift = np.eye(1, dim)[0]
     features = np.empty((n_clients, local_size, dim))
     forgets = []
     for c in range(1, n_clients + 1):
-        center = rng.normal(0.0, center_spread, size=dim)
+        center = rng.normal(0.0, _CENTER_SPREAD, size=dim)
         pts = _recenter(rng.normal(0.0, _POINT_SPREAD, size=(local_size, dim)), center)
         forget = ()
         if c == unlearn_client and forget_size > 0:
@@ -493,18 +492,28 @@ def make_logistic_task(
 
     root = math.sqrt(dim)
 
-    def sample_clean(n):
-        """``n`` clean rows and their true margins ``x @ w_true``."""
-        x = rng.normal(0.0, 1.0, size=(n, dim)) / root
-        x[:, dim - 1] = rng.normal(0.0, 1.0, size=n) / root
-        return x, x @ w_true
+    def draw_clean(x):
+        """Fill the ``(k, n, d)`` stack ``x`` with clean rows; return their true margins.
+
+        With scalar loc and scale, rng.normal draws one value at a time,
+        alone or in an array, so row j of the ``(k, n*d + n)`` draw is block
+        j's (n, d) rows and then its n last-column values: the bits of
+        drawing the k blocks one by one.
+        """
+        k, n, _ = x.shape
+        draws = rng.normal(0.0, 1.0, size=(k, n * dim + n))
+        np.divide(draws[:, : n * dim].reshape(x.shape), root, out=x)
+        x[:, :, dim - 1] = draws[:, n * dim :] / root
+        del draws  # freed before the margins
+        return x @ w_true  # one gemv per block, as a lone block's x @ w_true
 
     def sample_confident_negative(n):
         lo, hi = _FORGET_MARGIN
         out = np.empty((n, dim))
+        x = np.empty((4 * n, dim))
         got = 0
         while got < n:
-            x, margins = sample_clean(4 * n)
+            margins = draw_clean(x[None])[0]
             keep = (-margins >= lo) & (-margins <= hi)
             take = min(n - got, int(keep.sum()))
             out[got : got + take] = x[keep][:take]
@@ -514,30 +523,21 @@ def make_logistic_task(
     # Clients are drawn a chunk at a time straight into their rows of one
     # (N, n, d) features stack and one (N, n) labels stack, and the largest
     # row norm is tracked per chunk, so the rows exist once, plus one chunk's
-    # draws. With scalar loc and scale, rng.normal draws one value at a time,
-    # alone or in an array, so row j of a chunk's (k, n*d + n) draw is client
-    # j's (n, d) block and then its n last-column values, as sample_clean
-    # draws them. The unlearning client ends its chunk: its forget rows are
-    # drawn before the next client's rows.
+    # draws. The unlearning client ends its chunk: its forget rows are drawn
+    # before the next client's rows.
     features = np.empty((n_clients, local_size, dim))
     labels = np.empty((n_clients, local_size))
     forgets = [()] * n_clients
     top = 0.0
-    block = local_size * dim
-    per_chunk = max(1, _BLOCK_VALUES // max(1, block + local_size))
+    per_chunk = max(1, _BLOCK_VALUES // max(1, local_size * dim + local_size))
     unlearn = unlearn_client if forget_size > 0 else 0
     lo = 0
     while lo < n_clients:
         hi = min(lo + per_chunk, n_clients)
         if lo < unlearn <= hi:
             hi = unlearn
-        draws = rng.normal(0.0, 1.0, size=(hi - lo, block + local_size))
         x = features[lo:hi]
-        np.divide(draws[:, :block].reshape(x.shape), root, out=x)
-        x[:, :, dim - 1] = draws[:, block:] / root
-        del draws  # freed before the norm's temporary
-        # the stacked matmul runs one gemv per client, sample_clean's x @ w_true
-        labels[lo:hi] = np.where(x @ w_true >= 0.0, 1.0, -1.0)
+        labels[lo:hi] = np.where(draw_clean(x) >= 0.0, 1.0, -1.0)
         if hi == unlearn:
             xb = sample_confident_negative(forget_size)
             xb = 0.3 * xb
@@ -548,8 +548,8 @@ def make_logistic_task(
             forgets[hi - 1] = tuple(int(i) for i in idx)
         top = max(top, _max_row_norm(x.reshape(-1, dim)))
         lo = hi
-    test_x, margins = sample_clean(test_size)
-    test_y = np.where(margins >= 0.0, 1.0, -1.0)
+    test_x = np.empty((test_size, dim))
+    test_y = np.where(draw_clean(test_x[None])[0] >= 0.0, 1.0, -1.0)
     scale = max(top, _max_row_norm(test_x), 1e-12)
     # one in-place pass over the stack has the bits of x / scale per block
     features /= scale
@@ -571,11 +571,14 @@ def dataset_to_lines(data: ClientDataset) -> list:
 
 
 def dataset_from_lines(lines) -> ClientDataset:
+    """The inverse of ``dataset_to_lines``; a forget flag other than 0 or 1 is a ValueError."""
     feats, labels, forget = [], [], []
     for i, line in enumerate(l for l in (ln.strip() for ln in lines) if l):
         cols = line.split()
         feats.append([float(v) for v in cols[:-2]])
         labels.append(float(cols[-2]))
+        if cols[-1] not in ("0", "1"):
+            raise ValueError(f"example {i + 1} has forget flag {cols[-1]!r}, not 0 or 1")
         if cols[-1] == "1":
             forget.append(i)
     return ClientDataset(np.array(feats), np.array(labels), tuple(forget))

@@ -216,22 +216,6 @@ def stepsize(rule: str, t: int, eta: float, L: float, r_dom: float, G: float) ->
     raise ValueError(f"unknown stepsize rule {rule!r}")
 
 
-def _stepsizes(rule: str, hops: range, eta: float, L: float, r_dom: float, G: float) -> list:
-    """``stepsize`` at each hop of ``hops``, bit for bit, in one numpy pass.
-
-    ``np.where(x < a, x, a)`` is Python's ``min(a, x)``, NaN included.
-    """
-    if rule == "constant":
-        return [eta] * len(hops)
-    if rule == "decreasing":
-        if hops and hops[0] < 1:
-            raise ValueError("hop index starts at 1")
-        cap = 1.0 / L
-        x = r_dom / (G * np.sqrt(np.arange(hops.start, hops.stop)))
-        return np.where(x < cap, x, cap).tolist()
-    raise ValueError(f"unknown stepsize rule {rule!r}")
-
-
 def clip_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     """Rescale to norm <= threshold; no-op when threshold is 0."""
     if threshold <= 0:

@@ -68,10 +68,10 @@ from .optimizer import (
     _descent_draw,
     _noise_rows,
     _projected_step,
-    _stepsizes,
     clip_gradient,
     effective_variance_bound,
     project,
+    stepsize,
 )
 
 __all__ = [
@@ -230,7 +230,10 @@ def _schedule(cfg, label, hops, route, draw, dim, r_dom, G):
         highs, sizes, sigmas = zip(*map(draw, holders))
         picks = _minibatches(batching, highs, sizes)
         rows = _noise_rows(noise, np.array(sigmas), dim)
-        etas = _stepsizes(cfg.stepsize_rule, ts, cfg.eta, cfg.grad_bound, r_dom, G)
+        if cfg.stepsize_rule == "constant":
+            etas = [cfg.eta] * len(ts)
+        else:
+            etas = [stepsize(cfg.stepsize_rule, t, cfg.eta, cfg.grad_bound, r_dom, G) for t in ts]
         yield from zip(ts, [prev] + holders[:-1], holders, etas, picks, rows)
         prev = holders[-1]
 

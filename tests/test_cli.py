@@ -161,6 +161,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config:")
         assert not out.exists()
 
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        with open(cfg, "a") as fh:
+            fh.write("p=0.5\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+        assert "key 'p' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_swept_twice_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg, "--out", str(out),
+                     "--sweep", "p=0.1", "--sweep", "p=0.5"])
+        assert code == 3
+        assert "p is swept twice" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["mu", "gamma"])
     def test_removed_config_key_is_config_error(self, tmp_path, capsys, key):
         cfg = write_cfg(tmp_path)
@@ -247,6 +265,28 @@ class TestExitCodes:
             assert "client_02.txt" in err and f"not {field}={read}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, col, value, message", [
+        ("client_01.txt", -1, "2", "client_01.txt: example 1 has forget flag '2', not 0 or 1"),
+        ("client_02.txt", -1, "yes", "client_02.txt: example 1 has forget flag 'yes'"),
+        ("client_03.txt", -2, "0", "client_03.txt has labels other than -1 and +1"),
+        ("test.txt", -2, "nan", "test.txt has labels other than -1 and +1"),
+    ], ids=["flag-2", "flag-yes", "label-0", "test-label-nan"])
+    def test_data_with_a_bad_flag_or_label_fails_before_output(
+        self, tmp_path, capsys, name, col, value, message
+    ):
+        data, out = tmp_path / "data", tmp_path / "o"
+        cfg = write_cfg(tmp_path)
+        assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+        rows = (data / name).read_text().splitlines()
+        cols = rows[0].split()
+        cols[col] = value
+        rows[0] = " ".join(cols)
+        (data / name).write_text("\n".join(rows) + "\n")
+        assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("objective", ["logistic", "quadratic"])
     def test_read_data_has_the_generated_objective(self, tmp_path, objective):
         from walkforget import config_from_file, make_task
@@ -270,6 +310,21 @@ class TestExitCodes:
         assert main(["unlearn", "--config", cfg, "--init", str(init), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and f"{init} holds 3 values, not dim=5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_init_that_is_not_finite_fails_before_output(self, tmp_path, capsys, bad):
+        import numpy as np
+
+        from walkforget.protocols import save_params
+
+        init, out = tmp_path / "params.bin", tmp_path / "o"
+        save_params(np.array([0.0, bad, 0.0, 0.0]), init)
+        cfg = write_cfg(tmp_path)
+        assert main(["unlearn", "--config", cfg, "--init", str(init), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ")
+        assert f"{init} holds a value that is not finite" in err
         assert not out.exists()
 
     def test_sweep_has_no_seed_option(self, tmp_path, capsys):

@@ -253,6 +253,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_text(text)
 
+    @pytest.mark.parametrize("text", ["p=0.1\np=0.5\n", "p=0.1\np=0.1\n", "p=x\np=0.5\n"])
+    def test_repeated_key_fails_closed(self, text):
+        with pytest.raises(ConfigError, match=r"line 2: key 'p' given twice"):
+            config_from_text(text)
+
     def test_comments_and_blanks(self):
         cfg = config_from_text("# comment\n\nn_clients=4\nseed=7\n")
         assert cfg.n_clients == 4 and cfg.seed == 7

@@ -156,6 +156,17 @@ class TestExperimentDriver:
             run_unlearning_experiment(spec)
         assert ran == []
 
+    def test_unverifiable_calibration_fails_before_the_first_walk(self, monkeypatch):
+        from walkforget import CalibrationError, make_task, protocols, run_point
+
+        cfg = _tiny_cfg(sigma=None, cal_constant=1e-3)
+        task = make_task(cfg)
+        walks = []
+        monkeypatch.setattr(protocols, "_walk", lambda cfg, *args, **kw: walks.append(args[4]))
+        with pytest.raises(CalibrationError):
+            run_point(cfg, task)
+        assert walks == []
+
     def test_traced_point_runs_untraced(self, monkeypatch):
         # a point keeps no trace, so its walks build no loss panel
         from walkforget import make_task, protocols, run_point
@@ -314,8 +325,8 @@ class TestSweepReuse:
             seen["walks"].append(label)
             return walk(cfg, objective, datasets, theta, hops, label, *rest, **kw)
 
-        def counted_make_task(cfg, rng=None):
-            task = make_task(cfg, rng)
+        def counted_make_task(cfg):
+            task = make_task(cfg)
             # a task is alive while a dataset of it is: whatever keeps
             # training results could hold those without the task
             seen["tasks"].append(weakref.ref(task.datasets[1]))

@@ -361,13 +361,13 @@ class TestNoisyProjectedStep:
 
 
 class TestDeterministicDescent:
-    def test_distance_monotone_under_token_training(self):
+    def test_distance_monotone_under_token_training(self, monkeypatch):
         # sigma=0, full batch, eta <= 1/L on a quadratic with one shared
         # optimum: the distance to it never increases along the walk
-        from walkforget import RunConfig, closed_form_optimum, run_token_training
-        from walkforget.objectives import make_quadratic_task
+        from walkforget import RunConfig, closed_form_optimum, objectives, run_token_training
 
-        task = make_quadratic_task(4, 3, 30, 0, 1, substream(40, "mono"), center_spread=0.0)
+        monkeypatch.setattr(objectives, "_CENTER_SPREAD", 0.0)
+        task = objectives.make_quadratic_task(4, 3, 30, 0, 1, substream(40, "mono"))
         star = closed_form_optimum(task.objective, task.datasets)
         cfg = RunConfig(
             n_clients=4, dim=3, train_hops=60, eta=0.2, sigma=0.0, grad_bound=4.0,

@@ -1,5 +1,6 @@
 """Protocol runners: convergence, routing laws, reports, determinism, files."""
 
+import hashlib
 import json
 import math
 
@@ -12,6 +13,7 @@ from walkforget import (
     closed_form_optimum,
     expected_update_direction,
     load_params,
+    make_logistic_task,
     make_quadratic_task,
     monte_carlo_update_direction,
     retained_global_grad,
@@ -23,6 +25,19 @@ from walkforget import (
     substream,
 )
 from walkforget.protocols import save_params
+
+# (task, correction mode, p) -> digests of (expected_update_direction,
+# monte_carlo_update_direction) at three models
+DIRECTION_DIGESTS = {
+    ('quadratic', 'exact', 0.1): ('f4e88e3804770418', '50b22d3c7f609809'),
+    ('quadratic', 'exact', 0.6): ('581a775598f2c0d2', 'd52bbd8d9479aa26'),
+    ('quadratic', 'lightweight', 0.1): ('046432fc75bfa0c6', '057f984cdad903d2'),
+    ('quadratic', 'lightweight', 0.6): ('7a0390f933b0136c', 'ef5a15d66a181301'),
+    ('logistic', 'exact', 0.1): ('b9927c96a128f727', '152bfa1d696e18c8'),
+    ('logistic', 'exact', 0.6): ('f9ea8e99fafa25e3', '5e9b08820f13d0bb'),
+    ('logistic', 'lightweight', 0.1): ('bee76b9d3dac08c3', '657be8470b79f6e1'),
+    ('logistic', 'lightweight', 0.6): ('7c6ec30ab41031fd', '45acb1ea51a81334'),
+}
 
 
 def quad_cfg(**kw) -> RunConfig:
@@ -266,6 +281,28 @@ class TestUnlearning:
                 )
                 analytic = expected_update_direction(objective, datasets, 1, theta, p, mode)
                 assert np.linalg.norm(mc - analytic) / np.linalg.norm(analytic) < 0.01
+
+    @pytest.mark.parametrize("kind, mode, p", [
+        (kind, mode, p) for kind in ("quadratic", "logistic")
+        for mode in (CorrectionMode.EXACT, CorrectionMode.LIGHTWEIGHT) for p in (0.1, 0.6)
+    ])
+    def test_mixture_directions_keep_their_bits(self, kind, mode, p):
+        # sha256 of each direction at three models, recorded before the two
+        # functions shared their per-client rule
+        if kind == "quadratic":
+            task = make_quadratic_task(4, 3, 40, 8, 1, substream(99, "data"))
+        else:
+            task = make_logistic_task(5, 6, 60, 10, 2, substream(200, "data"), test_size=10)
+        objective, datasets = task.objective, list(task.datasets)
+        u = 1 if kind == "quadratic" else 2
+        thetas = 2.0 * substream(61, f"pin-{kind}").normal(size=(3, datasets[0].dim))
+        rng = substream(62, f"pin-{kind}-{mode.value}-{p}")
+        exact = [expected_update_direction(objective, datasets, u, t, p, mode) for t in thetas]
+        mc = [monte_carlo_update_direction(objective, datasets, u, t, p, mode, rng, draws=5000)
+              for t in thetas]
+        got = tuple(hashlib.sha256(np.asarray(v, dtype="<f8").tobytes()).hexdigest()[:16]
+                    for v in (exact, mc))
+        assert got == DIRECTION_DIGESTS[kind, mode.value, p]
 
     def test_trust_region_respected(self, quad_task):
         # p=1 keeps every hop at the unlearning client, so the final iterate

@@ -10,8 +10,6 @@ numpy upgrade changes how its generators draw arrays, they fail first,
 before every golden digest does.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -33,7 +31,7 @@ from walkforget import (
 from walkforget import protocols
 from walkforget.core import params_hash
 from walkforget.network import route_restart, route_uniform
-from walkforget.optimizer import _noise_rows, _stepsizes
+from walkforget.optimizer import _noise_rows
 
 CLIENT_COUNTS = [2, 3, 10, 2000, 2**31 + 7, 2**32 + 1]
 
@@ -87,20 +85,6 @@ def test_noise_rows(dim):
     assert _noise_rows(None, np.zeros(3), dim) == [None] * 3
     with pytest.raises(ValueError, match="rng"):
         _noise_rows(None, np.array([0.0, 1.0]), dim)
-
-
-@pytest.mark.parametrize("r_dom, G", [
-    (2.0, 3.0), (20.0, 1.0), (0.8, 7.5), (0.0, 2.0), (2.0, 0.0), (0.0, 0.0),
-    (math.inf, math.inf), (2.0, math.inf), (2.0, 1e300),
-])
-@pytest.mark.parametrize("rule", ["constant", "decreasing"])
-def test_stepsize_vector(rule, r_dom, G):
-    hops = range(1, 5000)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        got = _stepsizes(rule, hops, 0.3, 4.0, r_dom, G)
-        want = [stepsize(rule, t, 0.3, 4.0, r_dom, G) for t in hops]
-    _assert_same_bits(got, want)
-    assert _stepsizes(rule, range(1, 1), 0.3, 4.0, r_dom, G) == []
 
 
 # The whole schedule of each protocol, against the per-hop loop it replaced:
