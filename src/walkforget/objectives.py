@@ -16,6 +16,8 @@ are 0-indexed by client-1.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +287,102 @@ def global_loss(objective, datasets, theta, exclude_forget: bool = False) -> flo
     return total / len(datasets)
 
 
+# A panel block of at least this many feature values, and of two clients or
+# more, is evaluated as two halves on two threads. 2**16 is above the
+# measured crossover with the helper's hand-off (README "Trace cost").
+_SPLIT_VALUES = 1 << 16
+
+
+class _Helper:
+    """One daemon thread that evaluates the second half of a split panel block.
+
+    It runs nothing but ``objective.mean_losses``: no function that a
+    benchmark wraps or times runs off the caller's thread. ``claim`` is
+    held from ``start`` until ``result`` has the half back, so one caller
+    uses the helper at a time; a caller interrupted while it waits keeps
+    the claim, and later calls evaluate their blocks serially.
+    """
+
+    def __init__(self):
+        self.claim = threading.Lock()
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._out = None
+        threading.Thread(target=self._serve, name="walkforget-panel", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            objective, args = self._job
+            try:
+                self._out = objective.mean_losses(*args), None
+            except BaseException as exc:  # handed to the caller by result()
+                self._out = None, exc
+            self._done.release()
+
+    def start(self, objective, *args):
+        self._job = objective, args
+        self._go.release()
+
+    def result(self):
+        """The half's losses, once they are done; its exception, raised here."""
+        self._done.acquire()
+        losses, exc = self._out
+        self._job = self._out = None  # holds no rows between calls
+        self.claim.release()
+        if exc is not None:
+            raise exc
+        return losses
+
+
+_HELPER = None  # started on the first split, in a process that may use two CPUs
+_HELPER_START = threading.Lock()
+
+
+def _helper():
+    """The process's helper, started now if need be; None when one CPU is usable.
+
+    Where the OS has no ``sched_getaffinity`` (not Linux), no helper starts.
+    """
+    global _HELPER
+    usable = getattr(os, "sched_getaffinity", None)
+    if _HELPER is None and usable is not None and len(usable(0)) >= 2:
+        with _HELPER_START:
+            if _HELPER is None:
+                _HELPER = _Helper()
+    return _HELPER
+
+
+def _forget_helper():
+    """In a forked child: the parent's helper thread is not there, so start afresh."""
+    global _HELPER, _HELPER_START
+    _HELPER, _HELPER_START = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _block_losses(objective, theta, feats, labels):
+    """``mean_losses`` of a ``loss_panel`` block; a large one in two halves on two threads.
+
+    Each client's loss is computed by the same kernels on the same rows
+    either way. With no helper, or one another caller holds, the block is
+    evaluated here in one call.
+    """
+    half = len(feats) // 2
+    helper = _helper() if half and feats.size >= _SPLIT_VALUES else None
+    if helper is None or not helper.claim.acquire(blocking=False):
+        return objective.mean_losses(theta, feats, labels)
+    helper.start(objective, theta, feats[half:], labels[half:])
+    try:
+        first = objective.mean_losses(theta, feats[:half], labels[:half])
+    finally:
+        second = helper.result()  # waited for even when the first half raised
+    return np.concatenate((first, second))
+
+
 def loss_panel(objective, datasets, exclude_forget: bool = False):
     """``global_loss`` as a function of theta, for many evaluations on fixed data.
 
@@ -296,17 +394,23 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
     has a forget set, or a dataset built on its own) are copied once,
     grouped by shape into ``(k, n, d)`` and ``(k, n)`` stacks. Each list
     position is a client of its own, so a dataset listed twice is evaluated
-    twice. Each call makes one ``mean_losses`` call per stack and adds the
-    clients' losses in list order, one at a time, as ``global_loss``'s
-    ``+=`` does.
+    twice. Each call evaluates each stack with ``mean_losses``, puts every
+    client's loss in its list slot and adds the losses in list order, one
+    at a time, as ``global_loss``'s ``+=`` does. A stack of at least
+    ``_SPLIT_VALUES`` feature values and two clients or more is evaluated
+    as two contiguous halves of its clients, the second on a helper thread
+    while the caller takes the first, in a process allowed two CPUs
+    (``_block_losses``); a client's loss is the same either way.
 
-    The result is bit-identical to ``global_loss``. That rules out two
+    The result is bit-identical to ``global_loss``. That rules out three
     shortcuts: one 2-D matmul over all stacked rows changes the gemv's
     blocking (the last bits differ when a client's n is not a multiple of
-    4), and ``np.add.reduceat`` does not sum a client's losses pairwise as
-    ``np.mean`` does. The client total is not taken with ``np.sum``
-    (pairwise), ``math.fsum`` (exact) or builtin ``sum`` (compensated from
-    Python 3.12), which round differently. ``np.add.accumulate`` is allowed:
+    4), ``log1p(exp(-|t|)) + max(t, 0)`` in numpy's vector ``exp`` and
+    ``log1p`` rounds differently from ``np.logaddexp``'s libm calls (about
+    5% of values differ), and ``np.add.reduceat`` does not sum a client's
+    losses pairwise as ``np.mean`` does. The client total is not taken with
+    ``np.sum`` (pairwise), ``math.fsum`` (exact) or builtin ``sum``
+    (compensated from Python 3.12), which round differently. ``np.add.accumulate`` is allowed:
     each running total is the previous one plus the next loss, the same
     strictly sequential sum as the ``+=`` loop, in C. Its first total is the
     first loss where the loop computes 0.0 + loss; the two differ only for
@@ -345,7 +449,7 @@ def loss_panel(objective, datasets, exclude_forget: bool = False):
     def panel(theta) -> float:
         losses = np.empty(n_slots)
         for feats, labels, slots, rows in blocks:
-            losses[slots] = objective.mean_losses(theta, feats, labels)[rows]
+            losses[slots] = _block_losses(objective, theta, feats, labels)[rows]
         total = float(np.add.accumulate(losses)[-1]) if n_slots else 0.0
         return total / n_slots
 

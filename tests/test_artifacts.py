@@ -18,6 +18,7 @@ from walkforget import (
     config_to_text,
     save_result,
 )
+from walkforget import objectives
 from walkforget.cli import main
 
 TINY = dict(
@@ -113,6 +114,22 @@ def test_cli_artifacts_keep_their_bytes(tmp_path, capsys):
     digests = _cli_artifacts(tmp_path, capsys)
     assert digests == PINNED
     assert list((tmp_path / "out").rglob(".*")) == []
+
+
+def test_split_loss_panels_keep_the_artifact_bytes(tmp_path, capsys, monkeypatch):
+    # every traced walk's panel splits each block of two clients or more
+    monkeypatch.setattr(objectives, "_SPLIT_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    splits = []
+    start = objectives._Helper.start
+
+    def counted(helper, *args):
+        splits.append(1)
+        start(helper, *args)
+
+    monkeypatch.setattr(objectives._Helper, "start", counted)
+    assert _cli_artifacts(tmp_path, capsys) == PINNED
+    assert splits
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path):

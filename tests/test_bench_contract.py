@@ -173,3 +173,30 @@ def test_no_walk_calls_a_dispatching_numpy_function_per_hop(monkeypatch):
 
     h = POINT_SHAPE["train_hops"]
     assert walks(2 * h) == walks(h)
+
+
+# A fresh process: threads before the import, then point-boundary's run_point, untraced
+_UNTRACED_POINT = """
+import json, sys, threading
+threads = threading.active_count()
+import walkforget, walkforget.cli
+from walkforget import core, evaluation
+sys.path.insert(0, sys.argv[1])
+from workloads import POINT_BOUNDARY
+cfg = core.config_from_text(POINT_BOUNDARY, {"seed": 3})
+evaluation.run_point(cfg, evaluation.make_task(cfg))
+print(json.dumps([threading.active_count() - threads,
+                  [m for m in ("concurrent.futures", "queue", "multiprocessing") if m in sys.modules]]))
+"""
+
+
+def test_an_untraced_point_starts_no_thread_and_imports_no_pool():
+    # only a traced walk's loss panel starts the helper thread; set-up and
+    # the untraced workloads pay for neither a thread nor a pool module
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _UNTRACED_POINT, os.path.join(ROOT, "perfbench")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]

@@ -1,6 +1,9 @@
 """Gradients, the mixture decomposition, corrective steps, closed forms."""
 
 import hashlib
+import os
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -396,8 +399,10 @@ def test_make_logistic_task_draws_a_chunk_of_clients_per_normal_call():
     assert _task_digest(task) == TASK_DIGESTS["wide-traced"]
     per_chunk = _BLOCK_VALUES // (local_size * dim + local_size)
     chunks = -(-n_clients // per_chunk) + 1  # the unlearning client ends one early
-    # w_true, the test set, and two calls per round of forget-row candidates
-    assert per_chunk > 1 and rng.normal_calls <= chunks + 3 + 2 * 10
+    assert per_chunk > 1 and chunks == 107
+    # one call per chunk, w_true, the test set, and one per round of
+    # forget-row candidates (three at this seed)
+    assert rng.normal_calls == chunks + 2 + 3 == 112
 
 
 @st.composite
@@ -556,6 +561,148 @@ def test_panel_reads_a_stacked_task_in_place():
     finally:
         tracemalloc.stop()
     assert peak < rows / 10
+
+
+@st.composite
+def split_cases(draw):
+    """A dataset list with stack-row and copied blocks of 1, 2, 3 or 5 clients.
+
+    A generated task of k clients is listed whole, in some order, with some
+    of its datasets listed twice; then come k datasets built on their own
+    rows (one copied block) and, sometimes, the unlearning client's
+    ``without_forget()``. Returns the objective, the datasets and three thetas.
+    """
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    dim, n = draw(st.integers(2, 6)), draw(st.integers(2, 9))
+    forget, unlearn = draw(st.integers(0, n - 1)), draw(st.integers(1, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        task = make_logistic_task(k, dim, n, forget, unlearn, rng, test_size=3)
+    else:
+        task = make_quadratic_task(k, dim, n, forget, unlearn, rng)
+    stacked = list(task.datasets)
+    datasets = draw(st.permutations(stacked))
+    datasets += draw(st.lists(st.sampled_from(stacked), max_size=3))
+    datasets += [ClientDataset(rng.normal(size=(n, dim)) / np.sqrt(dim),
+                               np.where(rng.random(n) < 0.5, 1.0, -1.0),
+                               (0,) if i == 0 and forget else ())
+                 for i in range(k)]
+    if draw(st.booleans()):
+        datasets.append(stacked[unlearn - 1].without_forget())
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    return task.objective, datasets, [scale * rng.normal(size=dim) for _ in range(3)]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Split every block of two clients or more, as on a host with two CPUs."""
+    monkeypatch.setattr(objectives, "_SPLIT_VALUES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestSplitPanel:
+    @settings(max_examples=150, deadline=None)
+    @given(split_cases(), st.booleans())
+    def test_split_blocks_keep_the_bits(self, case, exclude_forget):
+        objective, datasets, thetas = case
+        serial = loss_panel(objective, datasets, exclude_forget)
+        handed = []  # clients in each half the helper took
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "_SPLIT_VALUES", 1)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            start = objectives._Helper.start
+
+            def counted(helper, objective, theta, feats, labels):
+                handed.append(len(feats))
+                start(helper, objective, theta, feats, labels)
+
+            mp.setattr(objectives._Helper, "start", counted)
+            split = loss_panel(objective, datasets, exclude_forget)
+            for theta in thetas:
+                want = global_loss(objective, datasets, theta, exclude_forget)
+                assert split(theta) == serial(theta) == want
+        # the task's stack-row block spans all k rows, or k - 1 of them when
+        # the unlearning client's retained rows are copied out
+        k = len(datasets[0].features.base)
+        if k >= 3 or k == 2 and not exclude_forget:
+            assert handed
+        assert all(size >= 1 for size in handed)
+
+    def test_the_helper_half_s_exception_reaches_the_caller(self, two_cpus):
+        task = make_logistic_task(6, 4, 5, 0, 1, substream(101, "data"), test_size=3)
+        datasets, theta = list(task.datasets), np.full(4, 0.1)
+        caller = threading.get_ident()
+
+        class FailsOffTheCaller(LogisticObjective):
+            def mean_losses(self, theta, feats, labels):
+                if threading.get_ident() != caller:
+                    raise ZeroDivisionError("helper half")
+                return super().mean_losses(theta, feats, labels)
+
+        with pytest.raises(ZeroDivisionError, match="helper half"):
+            loss_panel(FailsOffTheCaller(), datasets)(theta)
+        assert objectives._HELPER is not None
+        assert loss_panel(task.objective, datasets)(theta) == global_loss(
+            task.objective, datasets, theta)
+
+    def test_callers_at_once_all_get_the_bits(self, two_cpus):
+        # more callers than CPUs, switching often: one holds the helper and
+        # the others evaluate their blocks alone, each with the serial bits
+        task = make_logistic_task(40, 6, 13, 4, 3, substream(102, "data"), test_size=3)
+        datasets = list(task.datasets)
+        thetas = [substream(103, "theta").normal(size=6) * s for s in (0.1, 1.0, 10.0)] * 40
+        want = [global_loss(task.objective, datasets, theta, True) for theta in thetas]
+        got = [None] * 3
+
+        def evaluate(i):
+            panel = loss_panel(task.objective, datasets, exclude_forget=True)
+            got[i] = [panel(theta) for theta in thetas]
+
+        # daemons, so that a deadlock fails the test instead of hanging the run
+        threads = [threading.Thread(target=evaluate, args=(i,), daemon=True)
+                   for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * len(got)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_SPLIT_VALUES", 1)
+        monkeypatch.setattr(objectives, "_HELPER", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        task = make_quadratic_task(5, 3, 4, 1, 2, substream(104, "data"))
+        datasets, theta = list(task.datasets), np.full(3, 0.2)
+        threads = threading.active_count()
+        assert loss_panel(task.objective, datasets)(theta) == global_loss(
+            task.objective, datasets, theta)
+        assert objectives._HELPER is None and threading.active_count() == threads
+
+    def test_a_forked_child_starts_its_own_helper(self, two_cpus):
+        task = make_logistic_task(7, 4, 6, 2, 3, substream(105, "data"), test_size=3)
+        datasets, theta = list(task.datasets), np.full(4, -0.3)
+        want = global_loss(task.objective, datasets, theta, True)
+        panel = loss_panel(task.objective, datasets, exclude_forget=True)
+        assert panel(theta) == want
+        parent_helper = objectives._HELPER
+        assert parent_helper is not None
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit, never back into pytest
+            code = 1
+            try:
+                ok = objectives._HELPER is None and panel(theta) == want
+                code = 0 if ok and objectives._HELPER not in (None, parent_helper) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_logistic_task_refuses_an_unreachable_forget_margin_at_once():
