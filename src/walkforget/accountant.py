@@ -27,7 +27,8 @@ walk verifies its output post hoc against this same bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .core import _Record
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
@@ -57,8 +58,7 @@ DEFAULT_ALPHA_GRID = (1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0, 128.
 _AMP_CONSTANT = 1.0
 
 
-@dataclass(frozen=True)
-class RdpCurve:
+class RdpCurve(_Record):
     """Map from Renyi order alpha > 1 to a divergence bound."""
 
     values: dict
@@ -79,8 +79,7 @@ class RdpCurve:
         object.__setattr__(self, "values", dict(items))
 
 
-@dataclass(frozen=True)
-class DpGuarantee:
+class DpGuarantee(_Record):
     eps: float
     delta: float
 
@@ -91,8 +90,7 @@ class DpGuarantee:
             raise ValueError("delta must lie in (0,1)")
 
 
-@dataclass(frozen=True)
-class SensitiveVisitCount:
+class SensitiveVisitCount(_Record):
     """High-probability bound on the number of visits to the unlearning client."""
 
     horizon: int
@@ -169,8 +167,7 @@ def sensitive_visit_bound(horizon: int, p: float, delta_slack: float) -> Sensiti
     return SensitiveVisitCount(horizon=horizon, p=p, bound=int(bound), slack=delta_slack)
 
 
-@dataclass(frozen=True)
-class AccountantReport:
+class AccountantReport(_Record):
     """Serializable record of one view-level accounting computation."""
 
     inputs: dict
@@ -308,8 +305,7 @@ class CalibrationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(_Record):
     sigma: float
     achieved_eps: float
     delta: float

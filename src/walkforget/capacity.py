@@ -11,9 +11,8 @@ accountant, whose constant a closed-form attack refutes at N = 2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import _fmt, _write_csv
+from .core import _fmt, _Record, _write_csv
 
 __all__ = [
     "CapacityInputs",
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CapacityInputs:
+class CapacityInputs(_Record):
     eps: float = 1.0
     delta: float = 1e-5
     n_clients: int = 10

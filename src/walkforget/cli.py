@@ -9,7 +9,7 @@ failure, 2 usage error, 3 config validation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
 import math
 import os
 import sys
@@ -42,6 +42,8 @@ from .core import (
     config_from_file,
 )
 from .evaluation import (
+    _PHASE_ORDER,
+    EXPERIMENT_CSV_HEADER,
     _run_sweep,
     _sort_rows,
     _sweep_points,
@@ -194,8 +196,8 @@ def _cmd_capacity(args) -> int:
         print(f"capacity_scaling = {baseline_capacity(inputs):.10g}")
         return EXIT_OK
     if args.csv:
-        gammas = [float(g) for g in args.gammas.split(",")] if args.gammas else [args.gamma]
-        rows = capacity_sweep_rows([dataclasses.replace(inputs, gamma=g) for g in gammas])
+        gammas = args.gammas or [args.gamma]
+        rows = capacity_sweep_rows([inputs.replace(gamma=g) for g in gammas])
         write_capacity_csv(rows, args.csv)
         print(f"wrote {len(rows)} capacity rows to {args.csv}")
         return EXIT_OK
@@ -281,30 +283,51 @@ def _cmd_sweep(args) -> int:
     if repeated:
         raise ConfigError([f"sweep values repeat a point: {', '.join(repeated)}"])
     # one result file per sweep point, each written as soon as its point
-    # finishes (rows in --seeds order); existing files are trusted and skipped
-    todo = [point for point, f in zip(points, files) if not os.path.exists(f)]
+    # finishes (rows in --seeds order); an existing file is read once, and
+    # kept only if it holds exactly this point's rows for these seeds
+    kept = [_kept_rows(f, keys, point, seeds) for point, f in zip(points, files)]
+    todo = [point for point, rows in zip(points, kept) if rows is None]
+    made = []
 
     def write_point(point, rows):
         # --out appears only once the driver has validated every config
         os.makedirs(args.out, exist_ok=True)
         rows_to_csv(rows, keys, path(point))
+        made.extend(rows)
 
     _run_sweep(cfg, keys, todo, seeds, on_point=write_point)
-    all_rows = []
-    for f in files:
-        with open(f, "r", encoding="utf-8") as fh:
-            all_rows.extend(_read_point_csv(fh))
+    all_rows = [row for rows in kept if rows is not None for row in rows] + made
     rows_to_csv(_sort_rows(all_rows, keys), keys, os.path.join(args.out, "sweep.csv"))
     print(f"sweep complete: {len(points)} points, {len(all_rows)} rows")
     return EXIT_OK
 
 
-def _read_point_csv(fh):
-    import csv as _csv
+def _kept_rows(path, keys, point, seeds):
+    """The rows of point file ``path``, if they are exactly ``point``'s for ``seeds``; else None.
 
+    Exactly means the sweep's columns, one row per seed (in ``seeds`` order)
+    and phase (pre, post, certifier), and ``point``'s value in every sweep
+    column. A missing or unreadable file is None too, so the point is run.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = _read_point_csv(fh)
+    except (FileNotFoundError, ValueError, TypeError, csv.Error):
+        return None
+    header = tuple(keys) + EXPERIMENT_CSV_HEADER
+    expected = [(seed, phase) for seed in seeds for phase in _PHASE_ORDER]
+    if [(row.get("seed"), row.get("phase")) for row in rows] != expected or any(
+        tuple(row) != header or any(_fmt(row[k]) != _fmt(point[k]) for k in keys)
+        for row in rows
+    ):
+        return None
+    return rows
+
+
+def _read_point_csv(fh):
     types = _field_types()
     rows = []
-    for raw in _csv.DictReader(fh):
+    for raw in csv.DictReader(fh):
         row = {}
         for k, v in raw.items():
             if v == "":
@@ -317,8 +340,31 @@ def _read_point_csv(fh):
     return rows
 
 
+def _finite_float(text: str) -> float:
+    """A float option's value; nan and inf are refused, as is anything not a number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_floats(text: str) -> list:
+    """A comma-separated list of ``_finite_float`` values."""
+    return [_finite_float(item) for item in text.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error: usage:`` line (exit 2)."""
+
+    def error(self, message):
+        sys.exit(_fail(EXIT_USAGE, "usage", f"{self.prog}: {message}"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walkforget",
         description="Certified unlearning on decentralized networks, token-walk simulator",
     )
@@ -353,34 +399,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="deletion-capacity calculators")
     p.add_argument("--mode", choices=("ddp", "restart"), required=True)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1e-5)
+    p.add_argument("--eps", type=_finite_float, default=1.0)
+    p.add_argument("--delta", type=_finite_float, default=1e-5)
     p.add_argument("--n", type=int, default=10, help="number of clients")
     p.add_argument("--d", type=int, default=10, help="model dimension")
     p.add_argument("--t", type=int, default=100, help="horizon")
-    p.add_argument("--radius", type=float, default=10.0)
-    p.add_argument("--l", type=float, default=1.0, help="gradient bound")
+    p.add_argument("--radius", type=_finite_float, default=10.0)
+    p.add_argument("--l", type=_finite_float, default=1.0, help="gradient bound")
     p.add_argument("--s", type=int, default=1, help="local averaging factor")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--nonbias", "--A", dest="nonbias", type=float, default=0.0,
+    p.add_argument("--gamma", type=_finite_float, default=0.1)
+    p.add_argument("--nonbias", "--A", dest="nonbias", type=_finite_float, default=0.0,
                    help="forget-size-independent excess-risk term")
     p.add_argument("--n-u", dest="n_u", type=int, default=200, help="local data size")
-    p.add_argument("--bias-constant", type=float, default=2.0)
-    p.add_argument("--p", type=float, default=0.1, help="routing probability")
-    p.add_argument("--gammas", default=None, help="comma-separated gamma sweep")
+    p.add_argument("--bias-constant", type=_finite_float, default=2.0)
+    p.add_argument("--p", type=_finite_float, default=0.1, help="routing probability")
+    p.add_argument("--gammas", type=_finite_floats, default=None,
+                   help="comma-separated gamma sweep")
     p.add_argument("--csv", default=None, help="write a capacity sweep CSV here")
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("calibrate", help="noise-scale calibrators")
     p.add_argument("--mode", choices=("ddp", "restart"), required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--l", "--L", dest="l", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
+    p.add_argument("--l", "--L", dest="l", type=_finite_float, required=True)
     p.add_argument("--edit", type=int, default=1, help="group edit distance (ddp)")
-    p.add_argument("--p", type=float, default=0.1)
+    p.add_argument("--p", type=_finite_float, default=0.1)
     p.add_argument("--t-u", dest="t_u", type=int, default=100)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--cal-constant", type=float, default=1.0)
+    p.add_argument("--cal-constant", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_calibrate)
 
     # no abbreviations: "--seed" would silently stand for "--seeds"

@@ -13,7 +13,7 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -101,8 +101,96 @@ def _norm(x: np.ndarray) -> float:
     return top * math.sqrt(y.dot(y))
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of walkforget's frozen value records, bound at call time.
+
+    A subclass's annotated class attributes are its fields, in order, and a
+    value given there is that field's default; an unannotated class
+    attribute stays a class constant. Instances behave as
+    ``@dataclass(frozen=True)`` ones do: positional or keyword fields, a
+    ``TypeError`` for a missing, unknown or repeated field,
+    ``__post_init__`` (which may set fields with ``object.__setattr__``),
+    ``FrozenInstanceError`` on assignment or deletion, ``==`` within one
+    class, the hash of the field tuple, the same ``repr``, and copy and
+    pickle; ``replace`` and ``_fields`` stand in for ``dataclasses.replace``
+    and ``dataclasses.fields``. ``@dataclass`` writes each class's methods
+    as source and compiles them with ``exec`` when the class is made, in
+    every process, which was most of the package's import time (README,
+    "Start-up cost"); these methods are written once, here.
+    """
+
+    __slots__ = ()
+    _fields = ()  # field names, in order
+    _defaults = {}  # field name -> default value
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+        required = [n for n in cls._fields if n not in cls._defaults]
+        if required and cls._fields.index(required[-1]) >= len(required):
+            raise TypeError(f"non-default field {required[-1]!r} follows a default field")
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__qualname__
+        names, defaults = self._fields, self._defaults
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        given = dict(zip(names, args))
+        for key, value in kwargs.items():
+            if key in given:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            given[key] = value
+        values, missing = [], []
+        for key in names:
+            if key in given:
+                values.append(given.pop(key))
+            elif key in defaults:
+                values.append(defaults[key])
+            else:
+                missing.append(key)
+        if given:
+            raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(given))!r}")
+        if missing:
+            raise TypeError(f"{name}() missing required argument(s): {', '.join(map(repr, missing))}")
+        # one object.__setattr__ per field, as a frozen dataclass's __init__
+        # does: filling __dict__ directly makes every later field read about
+        # 1 ns slower, since the instance loses its inline attribute values
+        for key, value in zip(names, values):
+            object.__setattr__(self, key, value)
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def replace(self, **changes):
+        """A new record with ``changes`` applied, made (and checked) by the constructor."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Graph(_Record):
     """Complete communication graph over clients 1..num_clients.
 
     Every pair of distinct clients is an edge, so the graph is its client
@@ -148,8 +236,7 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ModelState:
+class ModelState(_Record):
     """Immutable parameter vector of fixed dimension."""
 
     params: np.ndarray
@@ -167,8 +254,7 @@ class ModelState:
         return self.params.shape[0]
 
 
-@dataclass(frozen=True)
-class FeasibleRegion:
+class FeasibleRegion(_Record):
     """Feasible parameter set: full space, a ball, or a ball cut by a trust ball.
 
     When ``trust_center`` is set the region is the intersection of the base
@@ -229,6 +315,11 @@ class ClientDataset:
     view of its row of both. ``_stack_row`` is that row, which
     ``_stacked_datasets`` records and ``with_forget`` carries over; it is
     None for any other dataset. ``loss_panel`` reads such rows in place.
+
+    It stays a dataclass, not a ``_Record``: ``_stacked_datasets`` builds
+    one per client (2,000 for a 2,000-client task), and the generated
+    ``__init__`` binds its three fields faster than ``_Record``'s call-time
+    binding does.
     """
 
     features: np.ndarray  # (n, d)
@@ -334,8 +425,7 @@ class CorrectionMode(Enum):
     LIGHTWEIGHT = "lightweight"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Flat configuration for one protocol run.
 
     Conventions: client indices are 1-based; ``sigma=None`` means the noise
@@ -370,9 +460,6 @@ class RunConfig:
     clip: float = 0.0
     group_edit: int = 1
     trace: bool = False
-
-    def replace(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
 
 
 class ConfigError(ValueError):
@@ -477,7 +564,7 @@ def _format_value(val) -> str:
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    lines = [f"{f.name}={_format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
+    lines = [f"{name}={_format_value(getattr(cfg, name))}" for name in cfg._fields]
     return "\n".join(lines) + "\n"
 
 
@@ -503,13 +590,9 @@ def _parse_value(name: str, text: str, typ):
 
 
 def _field_types() -> dict:
-    types = {}
-    for f in fields(RunConfig):
-        if f.name == "sigma":
-            types[f.name] = "sigma"
-        else:
-            types[f.name] = type(getattr(RunConfig(), f.name))
-    return types
+    defaults = RunConfig()
+    return {name: "sigma" if name == "sigma" else type(getattr(defaults, name))
+            for name in RunConfig._fields}
 
 
 def config_from_text(text: str, overrides: dict | None = None) -> RunConfig:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     _bounded_get,
     _fmt,
     _norm,
+    _Record,
     _write_csv,
     substream,
     validate_config,
@@ -62,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(_Record):
     clean_accuracy: float | None
     forget_accuracy: float | None
     retained_loss: float
@@ -200,12 +200,11 @@ EXPERIMENT_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(_Record):
     """Train, unlearn, certify over a sweep grid times a seed list."""
 
     base: RunConfig
-    sweep: dict = field(default_factory=dict)  # config field -> tuple of values
+    sweep: dict = MappingProxyType({})  # config field -> tuple of values
     seeds: tuple = (0,)
 
 

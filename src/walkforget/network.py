@@ -37,6 +37,10 @@ class Message:
     ``payload_hash`` is ``core.params_hash`` of the model after the
     *receiver's* step, not of the model the sender passed on. A transcript
     keeps its hops as columns and builds a message on each read.
+
+    It stays a slotted dataclass, not a ``core._Record``: the benchmark's
+    tracer times message construction by wrapping ``__init__`` in the
+    class's own dict, which a ``_Record`` subclass does not have.
     """
 
     round: int

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,14 @@ try:  # einsum's kernel, without np.einsum's dispatcher and wrapper
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
-from .core import _BLOCK_VALUES, ClientDataset, CorrectionMode, _norm, _stacked_datasets
+from .core import (
+    _BLOCK_VALUES,
+    ClientDataset,
+    CorrectionMode,
+    _norm,
+    _Record,
+    _stacked_datasets,
+)
 
 __all__ = [
     "QuadraticObjective",
@@ -48,12 +54,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadraticObjective:
+class QuadraticObjective(_Record):
     """0.5 * ||theta - z||^2 per example; labels are carried but unused."""
 
     grad_bound: float = math.inf  # valid over the feasible region in use
-    # unannotated, so class constants and not dataclass fields
+    # unannotated, so class constants and not record fields
     kind = "quadratic"
     smoothness = 1.0
 
@@ -93,11 +98,10 @@ def _sigmoid(t):
     return np.exp(np.minimum(t, 0.0)) / (1.0 + e)
 
 
-@dataclass(frozen=True)
-class LogisticObjective:
+class LogisticObjective(_Record):
     """log(1 + exp(-y * <theta, x>)) with y in {-1, +1}."""
 
-    # unannotated, so class constants and not dataclass fields; features
+    # unannotated, so class constants and not record fields; features
     # scaled to unit max norm make L = 1 (module docstring)
     kind = "logistic"
     grad_bound = 1.0
@@ -176,8 +180,7 @@ def grad_local(objective, data: ClientDataset, theta: np.ndarray, subset: str = 
     return objective.batch_grad(theta, feats, labels)
 
 
-@dataclass(frozen=True)
-class GradientReport:
+class GradientReport(_Record):
     """The three local gradients and the mixture-identity residual.
 
     residual = full - ((n-m)/n) * retained - (m/n) * forget, which is zero
@@ -461,8 +464,7 @@ def retained_global_grad(objective, datasets, theta) -> np.ndarray:
     return np.mean([objective.batch_grad(theta, *data.retained_rows) for data in datasets], axis=0)
 
 
-@dataclass(frozen=True)
-class SyntheticTask:
+class SyntheticTask(_Record):
     """A generated task: objective, per-client datasets, held-out test set."""
 
     objective: object

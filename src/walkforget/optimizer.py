@@ -9,11 +9,10 @@ intersected with a trust ball).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibleRegion, _norm
+from .core import FeasibleRegion, _norm, _Record
 from .objectives import _rows_grad
 
 __all__ = [
@@ -144,8 +143,7 @@ def _noise_rows(rng, sigmas: np.ndarray, dim: int) -> list:
     return [next(z) if hit else None for hit in noisy.tolist()]
 
 
-@dataclass(frozen=True)
-class StepSpec:
+class StepSpec(_Record):
     """One projected, optionally noisy, gradient step."""
 
     eta: float

@@ -33,7 +33,6 @@ import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -57,6 +56,7 @@ from .core import (
     _bounded_get,
     _check_outdir,
     _norm,
+    _Record,
     _write_file,
     params_hash,
     substream,
@@ -90,8 +90,7 @@ PARAMS_MAGIC = b"WFRM"
 PARAMS_VERSION = 1
 
 
-@dataclass(frozen=True)
-class PrivacyRecord:
+class PrivacyRecord(_Record):
     """Noise scale plus the view-level guarantee, and any group transform."""
 
     sigma: float
@@ -112,8 +111,7 @@ class PrivacyRecord:
         return out
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Record):
     final: ModelState
     transcript: Transcript
     report: PrivacyRecord | None = None

@@ -355,15 +355,13 @@ def test_criterion_09_p_sweep_qualitative():
 
 def test_criterion_10_capacity_calculator_properties():
     elapsed = _stopwatch()
-    import dataclasses
-
     base = CapacityInputs(
         eps=1.0, delta=1e-5, n_clients=10, dim=10, horizon=100, radius=10.0,
         grad_bound=1.0, s=1, p=0.1, local_size=200, gamma=0.1,
     )
 
     def cap(**kw):
-        return baseline_capacity(dataclasses.replace(base, **kw))
+        return baseline_capacity(base.replace(**kw))
 
     eps_up = all(
         cap(eps=a) < cap(eps=b) for a, b in zip((0.5, 1, 2), (1, 2, 4))
@@ -373,7 +371,7 @@ def test_criterion_10_capacity_calculator_properties():
     sqrt_s = abs(cap(s=4) / cap(s=1) - 2.0) <= 1e-12
 
     boundary = unlearning_capacity(0.5, 0.5, 200, 1.0) == 0
-    A = nonbias_term(dataclasses.replace(base, radius=1.0, s=4, p=0.1))
+    A = nonbias_term(base.replace(radius=1.0, s=4, p=0.1))
     gamma = A + 0.3
     linear = (
         unlearning_capacity(gamma, A, 400, 1.0) == 2 * unlearning_capacity(gamma, A, 200, 1.0)

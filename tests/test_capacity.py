@@ -37,23 +37,17 @@ class TestBaselineCapacity:
         )
 
     def test_sqrt_s_ratio_exact(self):
-        import dataclasses
-
-        s4 = dataclasses.replace(BASE, s=4)
+        s4 = BASE.replace(s=4)
         assert baseline_capacity(s4) / baseline_capacity(BASE) == pytest.approx(2.0, abs=1e-12)
 
     def test_s_equals_n_gains_sqrt_n(self):
-        import dataclasses
-
-        sn = dataclasses.replace(BASE, s=BASE.n_clients)
+        sn = BASE.replace(s=BASE.n_clients)
         ratio = baseline_capacity(sn) / baseline_capacity(BASE)
         assert ratio == pytest.approx(math.sqrt(BASE.n_clients), abs=1e-12)
 
     def test_monotonicity_scans(self):
-        import dataclasses
-
         def cap(**kw):
-            return baseline_capacity(dataclasses.replace(BASE, **kw))
+            return baseline_capacity(BASE.replace(**kw))
 
         eps_scan = [cap(eps=e) for e in (0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(eps_scan, eps_scan[1:]))
@@ -81,46 +75,34 @@ class TestUtilityBound:
         assert priv == pytest.approx(r * (L / BASE.eps) * BASE.p * root)
 
     def test_optimization_term_vanishes_with_s(self):
-        import dataclasses
-
         for cls in ("convex", "strongly-convex", "smooth-nonconvex"):
-            big = dataclasses.replace(BASE, s=10**9)
+            big = BASE.replace(s=10**9)
             opt, _ = utility_bound(big, cls)
             assert opt < 1e-3
 
     def test_convex_linear_in_radius(self):
-        import dataclasses
-
         o1, p1 = utility_bound(BASE, "convex")
-        o2, p2 = utility_bound(dataclasses.replace(BASE, radius=20.0), "convex")
+        o2, p2 = utility_bound(BASE.replace(radius=20.0), "convex")
         assert o2 == pytest.approx(2 * o1) and p2 == pytest.approx(2 * p1)
 
     def test_quadrupling_s_halves_convex_terms(self):
-        import dataclasses
-
         o1, p1 = utility_bound(BASE, "convex")
-        o4, p4 = utility_bound(dataclasses.replace(BASE, s=4), "convex")
+        o4, p4 = utility_bound(BASE.replace(s=4), "convex")
         assert o4 == pytest.approx(o1 / 2) and p4 == pytest.approx(p1 / 2)
 
     def test_strongly_convex_needs_mu(self):
-        import dataclasses
-
         with pytest.raises(ValueError):
-            utility_bound(dataclasses.replace(BASE, mu=0.0), "strongly-convex")
+            utility_bound(BASE.replace(mu=0.0), "strongly-convex")
 
 
 class TestNonbiasTerm:
     def test_limits(self):
-        import dataclasses
-
-        tiny = dataclasses.replace(BASE, horizon=10**12, p=0.0)
+        tiny = BASE.replace(horizon=10**12, p=0.0)
         assert nonbias_term(tiny) < 1e-4
 
     def test_golden_value(self):
-        import dataclasses
-
-        inputs = dataclasses.replace(
-            BASE, radius=1.0, grad_bound=1.0, s=4, horizon=100, eps=1.0,
+        inputs = BASE.replace(
+            radius=1.0, grad_bound=1.0, s=4, horizon=100, eps=1.0,
             p=0.1, dim=10, n_clients=10, delta=1e-5,
         )
         # c1 R L / sqrt(s Tu) + c2 R (L/eps) p sqrt(d ln(1/delta) ln N/(s N))
@@ -130,21 +112,18 @@ class TestNonbiasTerm:
         assert nonbias_term(inputs) == pytest.approx(expected, abs=1e-15)
 
     def test_independent_of_forget_size(self):
-        import dataclasses
-
-        a = nonbias_term(dataclasses.replace(BASE, local_size=1))
-        b = nonbias_term(dataclasses.replace(BASE, local_size=1000))
+        a = nonbias_term(BASE.replace(local_size=1))
+        b = nonbias_term(BASE.replace(local_size=1000))
         assert a == b
 
 
 class TestCapacitySweepCsv:
     def test_rows_and_file(self, tmp_path):
         import csv
-        import dataclasses
 
         from walkforget import capacity_sweep_rows, write_capacity_csv
 
-        points = [dataclasses.replace(BASE, gamma=g) for g in (0.05, 0.3, 1.0)]
+        points = [BASE.replace(gamma=g) for g in (0.05, 0.3, 1.0)]
         rows = capacity_sweep_rows(points)
         assert len(rows) == 3
         for row, point in zip(rows, points):

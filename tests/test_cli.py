@@ -119,6 +119,25 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["capacity", "--mode", "restart", "--gamma", "inf"],
+        ["capacity", "--mode", "ddp", "--eps=-inf"],
+        ["capacity", "--mode", "restart", "--nonbias", "nan"],
+        ["capacity", "--mode", "restart", "--csv", "caps.csv", "--gammas", "0.1,abc"],
+        ["capacity", "--mode", "restart", "--csv", "caps.csv", "--gammas", "0.1,inf"],
+        ["calibrate", "--mode", "restart", "--l", "1", "--eps", "inf", "--delta", "1e-5"],
+        ["calibrate", "--mode", "ddp", "--l", "nan", "--eps", "1", "--delta", "1e-5"],
+        ["calibrate", "--mode", "restart", "--l", "1", "--eps", "1", "--delta", "1e-5",
+         "--cal-constant", "NaN"],
+    ])
+    def test_float_that_is_not_finite_is_usage_error(self, tmp_path, capsys, args):
+        args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: usage: ") and captured.err.count("\n") == 1
+        assert "not a finite number" in captured.err or "is not a number" in captured.err
+        assert captured.out == "" and os.listdir(tmp_path) == []
+
     def test_config_validation_failure(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, p=0.25)
         text = open(cfg).read().replace("p=0.25", "p=1.5")
@@ -398,6 +417,29 @@ class TestSweep:
         assert (out / "sweep.csv").read_bytes() == final
         for f in points:
             assert os.path.getmtime(out / f) == mtimes[f]
+
+    def test_resume_with_more_seeds_runs_the_new_seeds(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, train_hops=10, unlearn_hops=8, test_size=40)
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        args = ["--config", cfg, "--sweep", "p=0.1,0.2"]
+        assert main(["sweep", "--out", str(twice), *args, "--seeds", "1"]) == 0
+        assert main(["sweep", "--out", str(twice), *args, "--seeds", "1,2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "sweep complete: 2 points, 12 rows"
+        assert main(["sweep", "--out", str(once), *args, "--seeds", "1,2"]) == 0
+        assert _dir_bytes(twice) == _dir_bytes(once)
+
+    def test_point_file_that_is_not_the_point_is_run_again(self, tmp_path):
+        cfg = write_cfg(tmp_path, train_hops=10, unlearn_hops=8, test_size=40)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        args = ["--config", cfg, "--sweep", "p=0.1,0.2", "--seeds", "1,2"]
+        assert main(["sweep", "--out", str(clean), *args]) == 0
+        assert main(["sweep", "--out", str(out), *args]) == 0
+        first, second = out / "point_p=0.1.csv", out / "point_p=0.2.csv"
+        lines = first.read_text().splitlines(keepends=True)
+        first.write_text("".join(lines[:-1]))  # a row short
+        second.write_text("".join(lines))  # the rows of p=0.1
+        assert main(["sweep", "--out", str(out), *args]) == 0
+        assert _dir_bytes(out) == _dir_bytes(clean)
 
     def test_numeric_fields_typed_like_config_files(self, tmp_path):
         cfg = write_cfg(tmp_path, train_hops=10, unlearn_hops=8, test_size=40)

@@ -284,15 +284,13 @@ OBJECTIVE_FIELDS = {"QuadraticObjective": ("grad_bound",), "LogisticObjective": 
 
 
 def test_settings_census():
-    from dataclasses import fields
-
     import walkforget
     from walkforget import CapacityInputs
 
-    assert tuple(f.name for f in fields(RunConfig)) == RUN_CONFIG_FIELDS
-    assert tuple(f.name for f in fields(CapacityInputs)) == CAPACITY_INPUT_FIELDS
+    assert RunConfig._fields == RUN_CONFIG_FIELDS
+    assert CapacityInputs._fields == CAPACITY_INPUT_FIELDS
     for name, want in OBJECTIVE_FIELDS.items():
-        assert tuple(f.name for f in fields(getattr(walkforget, name))) == want
+        assert getattr(walkforget, name)._fields == want
 
 
 def test_package_reexports_each_module_all():
